@@ -58,7 +58,7 @@ func run(args []string, out io.Writer) error {
 		workers      = fs.Int("workers", 0, "pthread-version worker count (0 = GOMAXPROCS)")
 		tables       = fs.String("table", "", "comma list of tables to run: 1,2,3 (empty with no -figure/-ablation = all)")
 		figures      = fs.String("figure", "", "comma list of figures: 4")
-		ablations    = fs.String("ablation", "", "comma list: shared,tpb,window,bank,search,streams,multigpu,hybrid,autoselect,gpupost,devices,parse,decode,codec")
+		ablations    = fs.String("ablation", "", "comma list: shared,tpb,window,bank,search,autoselect,devices,parse,decode,codec")
 		serialSearch = fs.String("serial-search", "brute", "serial baseline matcher: brute (paper) or hashchain (§VII)")
 		quiet        = fs.Bool("q", false, "suppress per-cell progress on stderr")
 		asCSV        = fs.Bool("csv", false, "emit tables as CSV instead of aligned text")
@@ -150,11 +150,7 @@ func run(args []string, out io.Writer) error {
 		{"window", harness.AblationWindowSize},
 		{"bank", harness.AblationBankSkew},
 		{"search", harness.AblationSearchAlgorithm},
-		{"streams", harness.ExtensionStreams},
-		{"multigpu", harness.ExtensionMultiGPU},
-		{"hybrid", harness.ExtensionHybrid},
 		{"autoselect", harness.ExtensionAutoSelection},
-		{"gpupost", harness.ExtensionGPUPostPass},
 		{"devices", harness.ExtensionDeviceSweep},
 		{"parse", harness.ExtensionOptimalParse},
 		{"decode", harness.ExtensionParallelDecode},

@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"culzss/internal/codec"
+	"culzss/internal/core"
 	"culzss/internal/datasets"
+	"culzss/internal/format"
 )
 
 func writeInput(t *testing.T, dir string) (string, []byte) {
@@ -26,7 +31,7 @@ func TestCompressDecompressCycle(t *testing.T) {
 	comp := filepath.Join(dir, "out.clz")
 	back := filepath.Join(dir, "back.dat")
 
-	if err := run([]string{"-version", "1", in, comp}); err != nil {
+	if err := run([]string{"-codec", "v1", in, comp}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-d", comp, back}); err != nil {
@@ -44,7 +49,7 @@ func TestCompressDecompressCycle(t *testing.T) {
 func TestDefaultOutputNames(t *testing.T) {
 	dir := t.TempDir()
 	in, data := writeInput(t, dir)
-	if err := run([]string{"-version", "2", in}); err != nil {
+	if err := run([]string{"-codec", "v2", in}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(in + ".clz"); err != nil {
@@ -71,10 +76,10 @@ func TestDefaultOutputNames(t *testing.T) {
 func TestVerifyAndStatsFlags(t *testing.T) {
 	dir := t.TempDir()
 	in, _ := writeInput(t, dir)
-	if err := run([]string{"-verify", "-stats", "-version", "serial", in, filepath.Join(dir, "s.clz")}); err != nil {
+	if err := run([]string{"-verify", "-stats", "-codec", "cpu", in, filepath.Join(dir, "s.clz")}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-verify", "-stats", "-version", "parallel", in, filepath.Join(dir, "p.clz")}); err != nil {
+	if err := run([]string{"-verify", "-stats", "-codec", "pthread", in, filepath.Join(dir, "p.clz")}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,7 +103,7 @@ func TestDumpFlag(t *testing.T) {
 	dir := t.TempDir()
 	in, _ := writeInput(t, dir)
 	comp := filepath.Join(dir, "c.clz")
-	if err := run([]string{"-version", "1", in, comp}); err != nil {
+	if err := run([]string{"-codec", "v1", in, comp}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-dump", comp}); err != nil {
@@ -106,7 +111,7 @@ func TestDumpFlag(t *testing.T) {
 	}
 	// -dump only understands the CULZSS token streams.
 	serial := filepath.Join(dir, "s.clz")
-	if err := run([]string{"-version", "serial", in, serial}); err != nil {
+	if err := run([]string{"-codec", "cpu", in, serial}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-dump", serial}); err == nil {
@@ -118,7 +123,7 @@ func TestTuningFlags(t *testing.T) {
 	dir := t.TempDir()
 	in, data := writeInput(t, dir)
 	comp := filepath.Join(dir, "w.clz")
-	if err := run([]string{"-version", "1", "-window", "64", "-tpb", "64", "-chunk", "2048", in, comp}); err != nil {
+	if err := run([]string{"-codec", "v1", "-window", "64", "-tpb", "64", "-chunk", "2048", in, comp}); err != nil {
 		t.Fatal(err)
 	}
 	back := filepath.Join(dir, "wback.dat")
@@ -137,9 +142,9 @@ func TestErrors(t *testing.T) {
 	cases := [][]string{
 		{},                                     // no args
 		{"a", "b", "c"},                        // too many args
-		{"-version", "bogus", in},              // bad version
+		{"-codec", "bogus", in},                // bad codec
 		{filepath.Join(dir, "missing"), "out"}, // missing input
-		{"-version", "1", "-window", "4096", in, filepath.Join(dir, "x.clz")}, // GPU window too big
+		{"-codec", "v1", "-window", "4096", in, filepath.Join(dir, "x.clz")}, // GPU window too big
 	}
 	for i, args := range cases {
 		if err := run(args); err == nil {
@@ -151,11 +156,11 @@ func TestErrors(t *testing.T) {
 func TestProfileFlag(t *testing.T) {
 	dir := t.TempDir()
 	in, _ := writeInput(t, dir)
-	if err := run([]string{"-profile", "-version", "2", in, filepath.Join(dir, "pr.clz")}); err != nil {
+	if err := run([]string{"-profile", "-codec", "v2", in, filepath.Join(dir, "pr.clz")}); err != nil {
 		t.Fatal(err)
 	}
 	// CPU versions report "no kernel" but still succeed.
-	if err := run([]string{"-profile", "-version", "serial", in, filepath.Join(dir, "pr2.clz")}); err != nil {
+	if err := run([]string{"-profile", "-codec", "cpu", in, filepath.Join(dir, "pr2.clz")}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -164,7 +169,7 @@ func TestStreamMode(t *testing.T) {
 	dir := t.TempDir()
 	in, data := writeInput(t, dir)
 	framed := filepath.Join(dir, "framed.clzs")
-	if err := run([]string{"-stream", "-segment", "8192", "-stats", "-version", "1", in, framed}); err != nil {
+	if err := run([]string{"-stream", "-segment", "8192", "-stats", "-codec", "v1", in, framed}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(framed)
@@ -215,6 +220,44 @@ func TestStreamCodecFlag(t *testing.T) {
 	}
 }
 
+// TestStreamDefaultCodecStoresRandom pins -codec auto as the default:
+// `culzss -stream` over 4 MiB of random bytes must store every segment
+// raw, so the output exceeds the input by no more than the stream
+// header and trailer plus one raw container header and frame record per
+// segment.
+func TestStreamDefaultCodecStoresRandom(t *testing.T) {
+	dir := t.TempDir()
+	data := make([]byte, 4<<20)
+	rand.New(rand.NewSource(9003)).Read(data)
+	in := filepath.Join(dir, "random.dat")
+	if err := os.WriteFile(in, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(dir, "random.clzs")
+	if err := run([]string{"-stream", in, out}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frameRecord = 1 + 3*binary.MaxVarintLen32 + 4 // marker, index/rawLen/length varints, CRC
+	segs := len(data) / core.DefaultSegmentSize
+	header := format.AppendStreamHeader(nil, core.DefaultSegmentSize)
+	trailer := format.AppendStreamTrailer(nil, &format.StreamTrailer{Segments: segs, TotalLen: len(data)})
+	bound := len(data) + len(header) + len(trailer) + segs*(codec.RawOverhead+frameRecord)
+	if st.Size() > int64(bound) {
+		t.Fatalf("-stream wrote %d bytes for %d random bytes, exceeds the raw-store bound %d", st.Size(), len(data), bound)
+	}
+	back := filepath.Join(dir, "random.out")
+	if err := run([]string{"-d", out, back}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(back); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("round trip failed: %v", err)
+	}
+}
+
 func TestStreamModePipes(t *testing.T) {
 	dir := t.TempDir()
 	in, data := writeInput(t, dir)
@@ -230,7 +273,7 @@ func TestStreamModePipes(t *testing.T) {
 	}
 	oldIn, oldOut := os.Stdin, os.Stdout
 	os.Stdin, os.Stdout = inFile, outFile
-	err = run([]string{"-stream", "-version", "serial", "-", "-"})
+	err = run([]string{"-stream", "-codec", "cpu", "-", "-"})
 	os.Stdin, os.Stdout = oldIn, oldOut
 	outFile.Close()
 	if err != nil {
@@ -276,7 +319,7 @@ func TestPipeModePaths(t *testing.T) {
 	}
 	oldIn, oldOut := os.Stdin, os.Stdout
 	os.Stdin, os.Stdout = inFile, outFile
-	err = run([]string{"-version", "1", "-", "-"})
+	err = run([]string{"-codec", "v1", "-", "-"})
 	os.Stdin, os.Stdout = oldIn, oldOut
 	outFile.Close()
 	if err != nil {
@@ -297,7 +340,7 @@ func TestPipeModePaths(t *testing.T) {
 func damageStream(t *testing.T, dir string, in string, segment int, corrupt func([]byte) []byte) string {
 	t.Helper()
 	framed := filepath.Join(dir, "framed.clzs")
-	if err := run([]string{"-stream", "-version", "serial", "-segment", itoa(segment), in, framed}); err != nil {
+	if err := run([]string{"-stream", "-codec", "cpu", "-segment", itoa(segment), in, framed}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(framed)
@@ -424,7 +467,7 @@ func TestExitCodeGeneric(t *testing.T) {
 func parityStream(t *testing.T, dir, in string, segment int, parity string) (string, []byte) {
 	t.Helper()
 	framed := filepath.Join(dir, "parity.clzs")
-	if err := run([]string{"-stream", "-version", "serial", "-segment", itoa(segment),
+	if err := run([]string{"-stream", "-codec", "cpu", "-segment", itoa(segment),
 		"-parity", parity, in, framed}); err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +578,7 @@ func TestParityResumeFlag(t *testing.T) {
 	const segment = 16 << 10
 
 	// A full durable run with parity (no interruption).
-	if err := run([]string{"-resume", "-version", "serial", "-segment", itoa(segment),
+	if err := run([]string{"-resume", "-codec", "cpu", "-segment", itoa(segment),
 		"-parity", "2+1", in, out}); err != nil {
 		t.Fatal(err)
 	}

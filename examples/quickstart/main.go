@@ -15,6 +15,7 @@ import (
 	"log"
 	"time"
 
+	"culzss/internal/codec"
 	"culzss/internal/core"
 	"culzss/internal/datasets"
 	"culzss/internal/lzss"
@@ -55,9 +56,9 @@ func main() {
 	payload := datasets.CFiles(1<<20, 42)
 	fmt.Printf("payload: %s of generated C source\n\n", stats.FormatBytes(int64(len(payload))))
 
-	for _, v := range []core.Version{core.Version1, core.Version2, core.VersionSerial, core.VersionParallel, core.VersionAuto} {
+	for _, v := range []string{"v1", "v2", "cpu", "pthread", codec.Auto} {
 		start := time.Now()
-		comp, report, err := core.CompressWithReport(payload, core.Params{Version: v})
+		comp, report, err := core.CompressCodec(payload, v, core.Params{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -82,5 +83,5 @@ func main() {
 	}
 
 	fmt.Printf("\nauto-selection picked %v for this payload (paper §V: V2 for ~50%% compressible)\n",
-		core.SelectVersion(payload))
+		codec.SelectCodec(payload))
 }

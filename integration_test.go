@@ -8,6 +8,7 @@ import (
 
 	"culzss/internal/bzip2"
 	"culzss/internal/bzip2/bzfile"
+	"culzss/internal/codec"
 	"culzss/internal/core"
 	"culzss/internal/datasets"
 	"culzss/internal/gpu"
@@ -18,14 +19,11 @@ import (
 // opens through the codec-dispatching public API, and the bytes survive.
 func TestEndToEndEveryVersionEveryDataset(t *testing.T) {
 	const n = 64 << 10
-	versions := []core.Version{
-		core.Version1, core.Version2, core.VersionSerial,
-		core.VersionParallel, core.VersionBZip2, core.VersionAuto,
-	}
+	versions := []string{"v1", "v2", "cpu", "pthread", "bzip2", "raw", codec.Auto}
 	for _, ds := range datasets.All() {
 		data := ds.Gen(n, 4242)
 		for _, v := range versions {
-			comp, err := core.Compress(data, core.Params{Version: v})
+			comp, _, err := core.CompressCodec(data, v, core.Params{})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", ds.Name, v, err)
 			}
@@ -45,41 +43,34 @@ func TestEndToEndEveryVersionEveryDataset(t *testing.T) {
 func TestCrossImplementationAgreement(t *testing.T) {
 	data := datasets.KernelTarball(96<<10, 777)
 
-	// V1 kernel == pure-GPU hybrid == multi-GPU == streamed: identical
-	// containers.
-	base, _, err := gpu.CompressV1(data, gpu.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hybrid, _, err := gpu.CompressV1Hybrid(data, gpu.Options{}, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	multi, _, err := gpu.CompressV1MultiGPU(data, gpu.Options{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamed, _, err := gpu.CompressV1Streamed(data, gpu.Options{}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, c := range map[string][]byte{"hybrid": hybrid, "multi": multi, "streamed": streamed} {
-		if !bytes.Equal(base, c) {
-			t.Errorf("%s container differs from plain V1", name)
+	// Each GPU kernel == its byte-identical host twin (the degrade
+	// target) == the registry engine behind the public API.
+	for _, c := range []struct {
+		name   string
+		kernel func([]byte, gpu.Options) ([]byte, *gpu.Report, error)
+		twin   func([]byte, gpu.Options) ([]byte, error)
+	}{
+		{"v1", gpu.CompressV1, gpu.CompressV1CPU},
+		{"v2", gpu.CompressV2, gpu.CompressV2CPU},
+	} {
+		base, _, err := c.kernel(data, gpu.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// V2 host post == V2 GPU post.
-	v2h, _, err := gpu.CompressV2(data, gpu.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2g, _, err := gpu.CompressV2GPUPost(data, gpu.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v2h, v2g) {
-		t.Error("V2 GPU post-pass container differs from host post-pass")
+		twin, err := c.twin(data, gpu.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		api, _, err := core.CompressCodec(data, c.name, core.Params{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(base, twin) {
+			t.Errorf("%s: host twin container differs from the kernel's", c.name)
+		}
+		if !bytes.Equal(base, api) {
+			t.Errorf("%s: core.CompressCodec container differs from the kernel's", c.name)
+		}
 	}
 }
 

@@ -80,6 +80,77 @@ func TestAutoStoresIncompressibleStream(t *testing.T) {
 	}
 }
 
+// maxStreamLen bounds a framed stream that stores rawLen bytes raw in
+// segs segments: the stream header and trailer plus, per segment, the
+// raw container header and the frame record.
+func maxStreamLen(rawLen, segs int) int {
+	header := format.AppendStreamHeader(nil, DefaultSegmentSize)
+	trailer := format.AppendStreamTrailer(nil, &format.StreamTrailer{Segments: segs, TotalLen: rawLen})
+	return rawLen + len(header) + len(trailer) + segs*(codec.RawOverhead+maxSegmentFrameOverhead)
+}
+
+// TestDefaultCodecIsAuto pins the adaptive selector as the default
+// engine: with no codec named, core.NewWriter must store 4 MiB of random
+// bytes raw, segment by segment, instead of expanding them through a
+// token stream, and core.Compress must return a raw-store container.
+func TestDefaultCodecIsAuto(t *testing.T) {
+	input := make([]byte, 4<<20)
+	rand.New(rand.NewSource(9002)).Read(input)
+
+	var buf bytes.Buffer
+	w := NewWriter(&buf, Params{})
+	if _, err := w.Write(input); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs := len(input) / DefaultSegmentSize
+	if bound := maxStreamLen(len(input), segs); buf.Len() > bound {
+		t.Fatalf("default stream is %d bytes for %d raw, exceeds the raw-store bound %d", buf.Len(), len(input), bound)
+	}
+	fr, err := format.NewFrameReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; ; n++ {
+		frame, trailer, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trailer != nil {
+			if n != segs {
+				t.Fatalf("stream has %d segments, want %d", n, segs)
+			}
+			break
+		}
+		h, _, err := format.ParseHeader(frame.Container)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Codec != format.CodecStoreRaw {
+			t.Fatalf("segment %d: default routing chose %v for random bytes, want raw store", frame.Index, h.Codec)
+		}
+	}
+
+	container, err := Compress(input, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _, err := format.ParseHeader(container)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Codec != format.CodecStoreRaw || len(container) > len(input)+codec.RawOverhead {
+		t.Fatalf("Compress: %v container of %d bytes for %d random bytes, want raw store within %d bytes of overhead",
+			h.Codec, len(container), len(input), codec.RawOverhead)
+	}
+	got, err := Decompress(container, Params{})
+	if err != nil || !bytes.Equal(got, input) {
+		t.Fatalf("raw-store round trip: %v", err)
+	}
+}
+
 // TestDecompressUnknownCodec pins the decode-dispatch contract for the
 // codec byte's reserved headroom: a container whose codec value parses
 // (structurally valid, [1, CodecMax]) but has no registered engine must

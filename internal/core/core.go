@@ -1,17 +1,19 @@
 // Package core is the CULZSS library surface — the in-memory compression
-// API of the paper's Figure 2, with the version-selection parameter, the
-// tuning knobs promised in §VII (window size, threads per block), file
-// I/O helpers for the standalone-program mode, and io.Reader/io.Writer
-// streaming adapters.
+// API of the paper's Figure 2, with the codec registry as the paper's
+// "version on the API call" (§V), the tuning knobs promised in §VII
+// (window size, threads per block), file I/O helpers for the
+// standalone-program mode, and io.Reader/io.Writer streaming adapters.
 //
 // The paper's interface is
 //
 //	Gpu_init(); Gpu_compress(buf, len, out, params); Gpu_decompress(...)
 //
-// which maps here to Init (device detection), Compress / Decompress, and
-// Params. Decompress dispatches on the container's codec, so any stream
-// produced by this repository — GPU V1/V2, serial, pthread, bzip2 — opens
-// with the same call.
+// which maps here to Init (device detection), Compress / CompressCodec /
+// Decompress, and Params. Compress routes through the adaptive selector
+// (codec.Auto: V2, V1 or raw-store by a sample probe); CompressCodec names
+// the engine instead. Decompress dispatches on the container's codec, so
+// any stream produced by this repository — GPU V1/V2, serial, pthread,
+// bzip2, raw-store — opens with the same call.
 package core
 
 import (
@@ -19,9 +21,7 @@ import (
 	"fmt"
 	"os"
 
-	"culzss/internal/bzip2"
 	"culzss/internal/codec"
-	"culzss/internal/cpulzss"
 	"culzss/internal/cudasim"
 	"culzss/internal/faults"
 	"culzss/internal/format"
@@ -31,65 +31,18 @@ import (
 	"culzss/internal/obs"
 )
 
-// Version selects which implementation compresses the data, mirroring the
-// paper's API parameter ("Users of our library can specify the version on
-// the API call", §V).
-type Version int
-
-// Version values.
-const (
-	// VersionAuto samples the input and picks V1 or V2 by its
-	// compressibility: §V — V2 "gives best performance gain mainly on
-	// files that are around 50% compressible or less", V1 wins on highly
-	// compressible data.
-	VersionAuto Version = iota
-	// Version1 is the chunk-per-thread GPU kernel.
-	Version1
-	// Version2 is the match-per-thread GPU kernel.
-	Version2
-	// VersionSerial is the serial CPU implementation (the paper's
-	// baseline; useful without a GPU).
-	VersionSerial
-	// VersionParallel is the pthread-style chunked CPU implementation.
-	VersionParallel
-	// VersionBZip2 is the from-scratch BZIP2 baseline (the program the
-	// paper compares against), behind the same API.
-	VersionBZip2
-)
-
-// String implements fmt.Stringer.
-func (v Version) String() string {
-	switch v {
-	case VersionAuto:
-		return "auto"
-	case Version1:
-		return "culzss-v1"
-	case Version2:
-		return "culzss-v2"
-	case VersionSerial:
-		return "serial"
-	case VersionParallel:
-		return "parallel"
-	case VersionBZip2:
-		return "bzip2"
-	default:
-		return fmt.Sprintf("version(%d)", int(v))
-	}
-}
-
 // Params are the compression parameters of the paper's API. The zero
-// value is ready to use: automatic version selection with the paper's
-// defaults (4 KiB chunks, 128 threads/block, 128-byte window).
+// value is ready to use: the paper's defaults (4 KiB chunks, 128
+// threads/block, 128-byte window) under whichever engine the call routes
+// to.
 type Params struct {
-	// Version picks the implementation; VersionAuto samples the input.
-	Version Version
-	// ChunkSize is the per-chunk granularity; 0 means the version's
+	// ChunkSize is the per-chunk granularity; 0 means the engine's
 	// default (4 KiB for the GPU kernels, 256 KiB for the CPU parallel).
 	ChunkSize int
 	// ThreadsPerBlock is the GPU block width; 0 means 128 (§III.D).
 	ThreadsPerBlock int
 	// Window overrides the sliding-window size (§VII's tuning API);
-	// 0 means the version's preset. GPU versions accept at most 256.
+	// 0 means the engine's preset. GPU engines accept at most 256.
 	Window int
 	// MaxMatch overrides the maximum match length; 0 means the preset.
 	MaxMatch int
@@ -105,7 +58,7 @@ type Params struct {
 	// Production callers leave it nil; the nil Injector is inert.
 	Injector *faults.Injector
 	// Health, when non-nil, supervises the GPU paths with a device pool:
-	// Version1 compressions route over healthy devices through per-device
+	// accelerated compressions route over healthy devices through per-device
 	// circuit breakers and the watchdog, re-dispatching failures and
 	// degrading to the byte-identical host encoder when the whole pool is
 	// quarantined. The streaming Writer additionally reports the
@@ -136,11 +89,11 @@ func Init() *Info {
 	return &Info{Device: d, CUDACores: d.SMs * d.CoresPerSM, SharedPerSM: d.SharedMemPerSM}
 }
 
-// gpuConfig assembles the LZSS configuration for a GPU version, applying
+// gpuConfig assembles the LZSS configuration for a GPU codec, applying
 // the tuning overrides.
-func (p *Params) gpuConfig(v Version) (lzss.Config, error) {
+func (p *Params) gpuConfig(c format.Codec) (lzss.Config, error) {
 	cfg := lzss.CULZSSV1()
-	if v == Version2 {
+	if c == format.CodecCULZSSV2 {
 		cfg = lzss.CULZSSV2()
 	}
 	if p.Window > 0 {
@@ -153,12 +106,12 @@ func (p *Params) gpuConfig(v Version) (lzss.Config, error) {
 		return cfg, err
 	}
 	if cfg.Window > 256 {
-		return cfg, fmt.Errorf("core: GPU versions need window <= 256, got %d", cfg.Window)
+		return cfg, fmt.Errorf("core: GPU codecs need window <= 256, got %d", cfg.Window)
 	}
 	return cfg, nil
 }
 
-// cpuConfig assembles the LZSS configuration for the CPU versions.
+// cpuConfig assembles the LZSS configuration for the CPU codecs.
 func (p *Params) cpuConfig() (lzss.Config, error) {
 	cfg := lzss.Dipperstein()
 	if p.Window > 0 {
@@ -170,94 +123,13 @@ func (p *Params) cpuConfig() (lzss.Config, error) {
 	return cfg, cfg.Validate()
 }
 
-// SelectVersion implements the automatic choice: it compresses a small
-// sample and picks Version1 for highly compressible data, Version2
-// otherwise (§V's guidance, Table I's crossover).
-func SelectVersion(data []byte) Version {
-	const sampleLen = 32 << 10
-	sample := data
-	if len(sample) > sampleLen {
-		// Sample from the middle: file headers are unrepresentative.
-		start := (len(data) - sampleLen) / 2
-		sample = data[start : start+sampleLen]
-	}
-	if len(sample) == 0 {
-		return Version2
-	}
-	comp, err := lzss.EncodeByteAligned(sample, lzss.CULZSSV1(), lzss.SearchHashChain, nil)
-	if err != nil {
-		return Version2
-	}
-	ratio := float64(len(comp)) / float64(len(sample))
-	// Table II: DE map (34%) and highly-compressible (14%) favour V1;
-	// C files / kernel (~55%) and dictionary (~61%) favour V2.
-	if ratio < 0.45 {
-		return Version1
-	}
-	return Version2
-}
-
 // Compress compresses data in memory per the paper's Gpu_compress: the
-// returned buffer is a self-describing container.
+// returned buffer is a self-describing container. The engine is chosen
+// per input by the adaptive selector (codec.Auto); CompressCodec names
+// it instead and also returns the device report.
 func Compress(data []byte, p Params) ([]byte, error) {
-	out, _, err := CompressWithReport(data, p)
+	out, _, err := CompressCodec(data, codec.Auto, p)
 	return out, err
-}
-
-// CompressWithReport additionally returns the GPU performance report
-// (nil for the CPU versions).
-func CompressWithReport(data []byte, p Params) ([]byte, *gpu.Report, error) {
-	v := p.Version
-	if v == VersionAuto {
-		v = SelectVersion(data)
-	}
-	switch v {
-	case Version1, Version2:
-		cfg, err := p.gpuConfig(v)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts := gpu.Options{
-			Device:          p.Device,
-			ChunkSize:       p.ChunkSize,
-			ThreadsPerBlock: p.ThreadsPerBlock,
-			Config:          cfg,
-			HostWorkers:     p.HostWorkers,
-			Stats:           p.Stats,
-			Injector:        p.Injector,
-			Health:          p.Health,
-			Obs:             p.Obs,
-		}
-		if v == Version1 {
-			// With a supervisor, the one-shot call rides the device pool
-			// (redispatch + byte-identical CPU degrade); the report is nil
-			// for a degraded run.
-			cont, rep, _, err := gpu.CompressV1Supervised(data, opts, -1, "compress")
-			return cont, rep, err
-		}
-		return gpu.CompressV2(data, opts)
-	case VersionSerial:
-		cfg, err := p.cpuConfig()
-		if err != nil {
-			return nil, nil, err
-		}
-		out, err := cpulzss.CompressSerial(data, cpulzss.Options{Config: cfg, Stats: p.Stats})
-		return out, nil, err
-	case VersionParallel:
-		cfg, err := p.cpuConfig()
-		if err != nil {
-			return nil, nil, err
-		}
-		out, err := cpulzss.CompressParallel(data, cpulzss.Options{
-			Config: cfg, ChunkSize: p.ChunkSize, Workers: p.HostWorkers, Stats: p.Stats,
-		})
-		return out, nil, err
-	case VersionBZip2:
-		out, err := bzip2.Compress(data, bzip2.Options{BlockSize: p.ChunkSize, Workers: p.HostWorkers})
-		return out, nil, err
-	default:
-		return nil, nil, fmt.Errorf("core: unknown version %v", p.Version)
-	}
 }
 
 // Decompress expands any container produced by this repository,
@@ -317,10 +189,8 @@ func (p *Params) engineOptions(eng codec.Engine) (gpu.Options, error) {
 	}
 	var err error
 	switch eng.Codec() {
-	case format.CodecCULZSSV1:
-		opts.Config, err = p.gpuConfig(Version1)
-	case format.CodecCULZSSV2:
-		opts.Config, err = p.gpuConfig(Version2)
+	case format.CodecCULZSSV1, format.CodecCULZSSV2:
+		opts.Config, err = p.gpuConfig(eng.Codec())
 	case format.CodecSerialBitPacked, format.CodecChunkedBitPacked:
 		opts.Config, err = p.cpuConfig()
 	}
@@ -330,7 +200,8 @@ func (p *Params) engineOptions(eng codec.Engine) (gpu.Options, error) {
 // CompressCodec compresses data with a registry engine chosen by name
 // ("v1", "v2", "cpu", "pthread", "bzip2", "raw"), or adaptively per
 // input when name is codec.Auto. Accelerated engines ride the supervised
-// dispatch ladder when Params.Health is armed, exactly like Compress.
+// dispatch ladder when Params.Health is armed. The report is the device
+// run's (nil for host engines and for a degraded run).
 func CompressCodec(data []byte, name string, p Params) ([]byte, *gpu.Report, error) {
 	eng, err := resolveEngine(name, data)
 	if err != nil {

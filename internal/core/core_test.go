@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"culzss/internal/codec"
 	"culzss/internal/datasets"
 	"culzss/internal/format"
 )
@@ -31,22 +32,10 @@ func TestInitDetectsDevice(t *testing.T) {
 	}
 }
 
-func TestVersionString(t *testing.T) {
-	for v, want := range map[Version]string{
-		VersionAuto: "auto", Version1: "culzss-v1", Version2: "culzss-v2",
-		VersionSerial: "serial", VersionParallel: "parallel",
-		VersionBZip2: "bzip2", Version(99): "version(99)",
-	} {
-		if got := v.String(); got != want {
-			t.Errorf("%d.String() = %q, want %q", v, got, want)
-		}
-	}
-}
-
 func TestCompressDecompressAllVersions(t *testing.T) {
 	input := genText(96<<10, 1)
-	for _, v := range []Version{Version1, Version2, VersionSerial, VersionParallel, VersionBZip2, VersionAuto} {
-		comp, err := Compress(input, Params{Version: v})
+	for _, v := range []string{"v1", "v2", "cpu", "pthread", "bzip2", codec.Auto} {
+		comp, _, err := CompressCodec(input, v, Params{})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -65,15 +54,16 @@ func TestCompressDecompressAllVersions(t *testing.T) {
 
 func TestCompressedContainersCarryRightCodec(t *testing.T) {
 	input := genText(16<<10, 2)
-	cases := map[Version]format.Codec{
-		Version1:        format.CodecCULZSSV1,
-		Version2:        format.CodecCULZSSV2,
-		VersionSerial:   format.CodecSerialBitPacked,
-		VersionParallel: format.CodecChunkedBitPacked,
-		VersionBZip2:    format.CodecBZip2,
+	cases := map[string]format.Codec{
+		"v1":      format.CodecCULZSSV1,
+		"v2":      format.CodecCULZSSV2,
+		"cpu":     format.CodecSerialBitPacked,
+		"pthread": format.CodecChunkedBitPacked,
+		"bzip2":   format.CodecBZip2,
+		"raw":     format.CodecStoreRaw,
 	}
 	for v, want := range cases {
-		comp, err := Compress(input, Params{Version: v})
+		comp, _, err := CompressCodec(input, v, Params{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,35 +78,44 @@ func TestCompressedContainersCarryRightCodec(t *testing.T) {
 }
 
 func TestSelectVersionFollowsPaperGuidance(t *testing.T) {
-	// Highly compressible (Table II: 13.5%) -> V1.
-	high := datasets.HighlyCompressible(128<<10, 3)
-	if v := SelectVersion(high); v != Version1 {
-		t.Errorf("SelectVersion(highly-compressible) = %v, want V1", v)
-	}
-	// DE-map-like data (34%) -> V1.
-	demap := datasets.DEMap(128<<10, 4)
-	if v := SelectVersion(demap); v != Version1 {
-		t.Errorf("SelectVersion(DE map) = %v, want V1", v)
-	}
-	// ~50%+ text -> V2.
-	cfiles := datasets.CFiles(128<<10, 5)
-	if v := SelectVersion(cfiles); v != Version2 {
-		t.Errorf("SelectVersion(C files) = %v, want V2", v)
-	}
-	dict := datasets.Dictionary(128<<10, 6)
-	if v := SelectVersion(dict); v != Version2 {
-		t.Errorf("SelectVersion(dictionary) = %v, want V2", v)
-	}
-	// Empty input defaults sanely.
-	if v := SelectVersion(nil); v != Version2 {
-		t.Errorf("SelectVersion(nil) = %v", v)
+	// Compress routes by the adaptive selector; the container's codec
+	// byte records the engine it picked.
+	random := make([]byte, 128<<10)
+	rand.New(rand.NewSource(7)).Read(random)
+	for _, c := range []struct {
+		name string
+		data []byte
+		want format.Codec
+	}{
+		// Highly compressible (Table II: 13.5%) -> V1.
+		{"highly-compressible", datasets.HighlyCompressible(128<<10, 3), format.CodecCULZSSV1},
+		// DE-map-like data (34%) -> V1.
+		{"DE map", datasets.DEMap(128<<10, 4), format.CodecCULZSSV1},
+		// ~50%+ text -> V2.
+		{"C files", datasets.CFiles(128<<10, 5), format.CodecCULZSSV2},
+		{"dictionary", datasets.Dictionary(128<<10, 6), format.CodecCULZSSV2},
+		// Incompressible -> stored raw; so is empty input.
+		{"random", random, format.CodecStoreRaw},
+		{"empty", nil, format.CodecStoreRaw},
+	} {
+		comp, err := Compress(c.data, Params{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		h, _, err := format.ParseHeader(comp)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if h.Codec != c.want {
+			t.Errorf("Compress(%s) used %v, want %v", c.name, h.Codec, c.want)
+		}
 	}
 }
 
 func TestTuningOverrides(t *testing.T) {
 	input := genText(32<<10, 7)
-	// Window override for GPU versions (§VII tuning API).
-	comp, err := Compress(input, Params{Version: Version1, Window: 64})
+	// Window override for GPU engines (§VII tuning API).
+	comp, _, err := CompressCodec(input, "v1", Params{Window: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +127,11 @@ func TestTuningOverrides(t *testing.T) {
 		t.Fatalf("window = %d, want 64", h.Window)
 	}
 	// Oversized GPU window must be rejected.
-	if _, err := Compress(input, Params{Version: Version2, Window: 1024}); err == nil {
-		t.Fatal("accepted window 1024 on GPU version")
+	if _, _, err := CompressCodec(input, "v2", Params{Window: 1024}); err == nil {
+		t.Fatal("accepted window 1024 on GPU engine")
 	}
 	// CPU serial accepts large windows.
-	comp, err = Compress(input, Params{Version: VersionSerial, Window: 8192})
+	comp, _, err = CompressCodec(input, "cpu", Params{Window: 8192})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +162,8 @@ func TestDecompressRejectsGarbage(t *testing.T) {
 }
 
 func TestCompressRejectsUnknownVersion(t *testing.T) {
-	if _, err := Compress([]byte("x"), Params{Version: Version(42)}); err == nil {
-		t.Fatal("accepted unknown version")
+	if _, _, err := CompressCodec([]byte("x"), "v42", Params{}); err == nil {
+		t.Fatal("accepted unknown codec")
 	}
 }
 
@@ -177,7 +176,7 @@ func TestFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(src, input, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := CompressFile(src, cz, Params{Version: Version2}); err != nil {
+	if err := CompressFile(src, cz, Params{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := DecompressFile(cz, back, Params{}); err != nil {
@@ -198,7 +197,7 @@ func TestFileRoundTrip(t *testing.T) {
 func TestStreamingAdapters(t *testing.T) {
 	input := genText(64<<10, 10)
 	var netBuf bytes.Buffer
-	w := NewWriter(&netBuf, Params{Version: Version1})
+	w := NewWriter(&netBuf, Params{})
 	half := len(input) / 2
 	if _, err := w.Write(input[:half]); err != nil {
 		t.Fatal(err)
@@ -233,10 +232,9 @@ func TestStreamingAdapters(t *testing.T) {
 }
 
 func TestQuickRoundTripAllVersions(t *testing.T) {
-	for _, v := range []Version{Version1, Version2, VersionSerial, VersionParallel} {
-		v := v
+	for _, v := range []string{"v1", "v2", "cpu", "pthread", "raw", codec.Auto} {
 		f := func(data []byte) bool {
-			comp, err := Compress(data, Params{Version: v})
+			comp, _, err := CompressCodec(data, v, Params{})
 			if err != nil {
 				return false
 			}

@@ -42,20 +42,25 @@ func differentialCorpus(segSize int) map[string][]byte {
 	return corpus
 }
 
+// implementations lists the codecs under the paper's implementation
+// names, which label the differential and framed round-trip subtests.
+var implementations = []struct{ label, codec string }{
+	{"culzss-v1", "v1"}, {"culzss-v2", "v2"}, {"serial", "cpu"},
+	{"parallel", "pthread"}, {"bzip2", "bzip2"},
+}
+
 // TestDifferentialRoundTripAllCodecs is the cross-codec differential
-// suite: every Version and the framed stream mode must reproduce every
+// suite: every codec and the framed stream mode must reproduce every
 // corpus entry byte-identically, with matching format.Checksum32, and
 // every codec's container must open through the same Decompress dispatch.
 func TestDifferentialRoundTripAllCodecs(t *testing.T) {
 	const segSize = 8 << 10
 	corpus := differentialCorpus(segSize)
-	versions := []Version{Version1, Version2, VersionSerial, VersionParallel, VersionBZip2}
-
 	for name, input := range corpus {
 		wantSum := format.Checksum32(input)
-		for _, v := range versions {
-			t.Run(fmt.Sprintf("%s/%v", name, v), func(t *testing.T) {
-				container, err := Compress(input, Params{Version: v})
+		for _, v := range implementations {
+			t.Run(fmt.Sprintf("%s/%s", name, v.label), func(t *testing.T) {
+				container, _, err := CompressCodec(input, v.codec, Params{})
 				if err != nil {
 					t.Fatalf("compress: %v", err)
 				}
@@ -83,10 +88,10 @@ func TestDifferentialRoundTripAllCodecs(t *testing.T) {
 		}
 
 		// The framed stream mode over the same corpus, every version.
-		for _, v := range versions {
-			t.Run(fmt.Sprintf("%s/framed-%v", name, v), func(t *testing.T) {
+		for _, v := range implementations {
+			t.Run(fmt.Sprintf("%s/framed-%s", name, v.label), func(t *testing.T) {
 				var buf bytes.Buffer
-				w := NewWriterOptions(&buf, Params{Version: v}, StreamOptions{SegmentSize: segSize})
+				w := NewWriterOptions(&buf, Params{}, StreamOptions{Codec: v.codec, SegmentSize: segSize})
 				if _, err := w.Write(input); err != nil {
 					t.Fatalf("stream write: %v", err)
 				}
@@ -212,8 +217,8 @@ func TestDifferentialStreamRepairAllEngines(t *testing.T) {
 func TestDifferentialCodecsAgreeOnPlaintext(t *testing.T) {
 	input := datasets.Dictionary(24<<10, 55)
 	var decoded [][]byte
-	for _, v := range []Version{Version1, Version2, VersionSerial, VersionParallel, VersionBZip2} {
-		container, err := Compress(input, Params{Version: v})
+	for _, v := range []string{"v1", "v2", "cpu", "pthread", "bzip2"} {
+		container, _, err := CompressCodec(input, v, Params{})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}

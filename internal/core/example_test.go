@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"strings"
 
+	"culzss/internal/codec"
 	"culzss/internal/core"
+	"culzss/internal/format"
 )
 
 // The paper's Figure 2 flow: initialise, compress a memory buffer,
@@ -13,7 +15,7 @@ import (
 func ExampleCompress() {
 	payload := []byte(strings.Repeat("the quick brown fox jumps over the lazy dog. ", 200))
 
-	container, err := core.Compress(payload, core.Params{Version: core.Version1})
+	container, err := core.Compress(payload, core.Params{})
 	if err != nil {
 		panic(err)
 	}
@@ -28,20 +30,33 @@ func ExampleCompress() {
 	// compressed smaller: true
 }
 
-// Version selection follows the paper's §V guidance: V1 for highly
-// compressible data, V2 otherwise.
-func ExampleSelectVersion() {
+// The engine is the paper's "version on the API call" (§V): name it, or
+// pass codec.Auto to let a sample probe pick — V1 for highly
+// compressible data, V2 otherwise, raw store for incompressible bytes.
+// The container's codec byte records the choice.
+func ExampleCompressCodec() {
 	repetitive := bytes.Repeat([]byte("abcdefghijklmnopqrst"), 2000)
-	fmt.Println(core.SelectVersion(repetitive))
+	for _, name := range []string{codec.Auto, "v2"} {
+		container, _, err := core.CompressCodec(repetitive, name, core.Params{})
+		if err != nil {
+			panic(err)
+		}
+		h, _, err := format.ParseHeader(container)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Println(name, "->", h.Codec)
+	}
 	// Output:
-	// culzss-v1
+	// auto -> culzss-v1
+	// v2 -> culzss-v2
 }
 
 // The streaming adapters wrap the buffer API for io pipelines.
 func ExampleNewWriter() {
 	var network bytes.Buffer
 
-	w := core.NewWriter(&network, core.Params{Version: core.Version2})
+	w := core.NewWriterOptions(&network, core.Params{}, core.StreamOptions{Codec: "v2"})
 	fmt.Fprint(w, strings.Repeat("sensor reading 42.0; ", 500))
 	if err := w.Close(); err != nil {
 		panic(err)

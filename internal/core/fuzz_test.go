@@ -45,7 +45,7 @@ func TestDecompressNeverPanicsOnRandomContainers(t *testing.T) {
 	}
 
 	// Valid container with mutations.
-	base, err := Compress([]byte("fuzz seed content fuzz seed content fuzz"), Params{Version: Version1})
+	base, _, err := CompressCodec([]byte("fuzz seed content fuzz seed content fuzz"), "v1", Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,8 @@ func TestDecompressNeverPanicsOnRandomContainers(t *testing.T) {
 // FuzzDecompress is a native fuzz target over the container parser and
 // all decoders (run with `go test -fuzz=FuzzDecompress ./internal/core`).
 func FuzzDecompress(f *testing.F) {
-	seedA, _ := Compress([]byte("seed one: some compressible compressible data"), Params{Version: Version1})
-	seedB, _ := Compress([]byte("seed two"), Params{Version: VersionSerial})
+	seedA, _, _ := CompressCodec([]byte("seed one: some compressible compressible data"), "v1", Params{})
+	seedB, _, _ := CompressCodec([]byte("seed two"), "cpu", Params{})
 	f.Add(seedA)
 	f.Add(seedB)
 	f.Add([]byte(format.Magic))

@@ -14,25 +14,21 @@
 // The Reader auto-detects the input: a framed stream ("CLZS") decodes
 // incrementally, one segment at a time; a bare container ("CLZ1") is
 // decompressed whole, preserving the previous adapter behaviour.
+//
+// This file holds what both sides share — the stream options, stats and
+// metrics; writer.go holds the compressing pipeline, reader.go the
+// decoding one.
 package core
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"culzss/internal/codec"
 	"culzss/internal/format"
 	"culzss/internal/gpu"
-	"culzss/internal/health"
-	"culzss/internal/lzss"
 	"culzss/internal/obs"
 )
 
@@ -130,12 +126,9 @@ func newReaderMetrics(reg *obs.Registry) readerMetrics {
 	}
 }
 
-// ErrClosed is returned by Writer.Write after Close.
-var ErrClosed = errors.New("core: writer is closed")
-
 // DefaultSegmentSize is the Writer's default segment granularity. 1 MiB
 // keeps per-worker buffers small while amortising the per-frame header
-// and giving the GPU versions enough chunks per launch to fill the device.
+// and giving the GPU engines enough chunks per launch to fill the device.
 const DefaultSegmentSize = 1 << 20
 
 // StreamOptions tune the framed stream layer.
@@ -145,14 +138,9 @@ type StreamOptions struct {
 	// larger segments improve ratio (more window context) and shrink
 	// framing overhead.
 	SegmentSize int
-	// GPUStreams, when > 1 and the version resolves to the V1 GPU kernel,
-	// compresses each segment through the pipelined copy/execute scheduler
-	// (gpu.CompressV1Streamed) with this many CUDA streams, overlapping
-	// H2D copies with kernel execution in the simulated schedule.
-	GPUStreams int
-	// Retry bounds the per-segment retry/degrade policy for the GPU
-	// versions. The zero value means up to 3 attempts with 1ms..50ms
-	// jittered exponential backoff, then CPU fallback.
+	// Retry bounds the per-segment retry/degrade policy for the
+	// accelerated engines. The zero value means up to 3 attempts with
+	// 1ms..50ms jittered exponential backoff, then CPU fallback.
 	Retry RetryPolicy
 	// Context, when non-nil, cancels the Writer's pipeline: Write and
 	// Close fail with the context's error once it is done, and in-flight
@@ -201,8 +189,7 @@ type StreamOptions struct {
 	// per-segment selector (a cheap sample probe picks V2, V1, or
 	// raw-store segment by segment). Each segment's choice is recorded in
 	// its embedded container's codec byte — the frame layer carries no
-	// extra state, so any Reader dispatches per frame. "" keeps the legacy
-	// routing through Params.Version, byte-identical to previous releases.
+	// extra state, so any Reader dispatches per frame. "" means codec.Auto.
 	Codec string
 	// OnSegment, when non-nil, observes every emitted segment frame in
 	// stream order from the emitter goroutine — the Writer-side mirror of
@@ -364,774 +351,6 @@ func (o StreamOptions) segmentSize() int {
 	return o.SegmentSize
 }
 
-// segJob is one segment travelling through the Writer's pipeline.
-type segJob struct {
-	index  int
-	data   []byte // uncompressed segment (buf-pool owned)
-	result chan segResult
-}
-
-type segResult struct {
-	container []byte
-	codec     format.Codec // the engine that produced the container
-	rep       *gpu.Report  // device report; nil for host-encoded segments
-	retries   int          // extra GPU attempts this segment consumed
-	degraded  bool         // segment fell back to the engine's CPU twin
-	err       error
-}
-
-// Writer is an io.WriteCloser emitting a framed compressed stream.
-//
-// Segments are compressed concurrently by HostWorkers workers while a
-// single emitter goroutine writes frames strictly in order, so the output
-// is deterministic for a given input and parameter set. Write blocks when
-// HostWorkers segments are already in flight, which is what bounds peak
-// memory.
-//
-// Close flushes the final partial segment, writes the stream trailer, and
-// tears the worker pool down. A second Close is a no-op returning nil
-// (matching gzip.Writer); Write after Close returns ErrClosed.
-type Writer struct {
-	dst     io.Writer
-	params  Params
-	opts    StreamOptions
-	segSize int
-	workers int
-	bound   int // admission bound: max segments in the pipeline
-	ctx     context.Context
-
-	// healthBase is the supervisor's counter baseline at construction;
-	// Stats reports deltas against it (the pool is often shared).
-	healthBase health.Snapshot
-
-	met      writerMetrics
-	segStart time.Time // when the current partial segment began accumulating
-
-	started bool
-	closed  bool
-	buf     []byte // current partial segment; len < segSize
-	index   int    // next segment index
-	total   int    // total plaintext bytes accepted
-	crc     uint32 // running CRC-32 of the plaintext
-
-	// Parity accumulator (emitter goroutine only, after construction):
-	// the exact encoded bytes of the open group's data frames, and the
-	// index of the group's first frame.
-	parityGroup [][]byte
-	parityFirst int
-
-	jobs     chan *segJob // feeds the compression workers
-	pending  chan *segJob // feeds the in-order emitter; its capacity is the memory bound
-	emitted  chan struct{}
-	workerWG sync.WaitGroup
-	bufPool  *bytePool
-
-	mu   sync.Mutex
-	werr error // first pipeline error (compression or underlying write)
-
-	statsMu sync.Mutex // serialises merges into params.Stats
-
-	wstatsMu sync.Mutex
-	wstats   WriterStats
-
-	rngMu sync.Mutex
-	rng   *rand.Rand // backoff jitter; seeded from the injector when armed
-
-	// in-flight accounting, exercised by the bounded-memory test.
-	flightMu  sync.Mutex
-	inFlight  int // bytes of segment buffers currently in the pipeline
-	maxFlight int
-}
-
-// NewWriter returns a framed-stream Writer with default StreamOptions
-// (1 MiB segments).
-func NewWriter(dst io.Writer, p Params) *Writer {
-	return NewWriterOptions(dst, p, StreamOptions{})
-}
-
-// NewWriterOptions returns a framed-stream Writer with explicit stream
-// options.
-func NewWriterOptions(dst io.Writer, p Params, o StreamOptions) *Writer {
-	workers := p.HostWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// Jitter only perturbs sleep durations, never output bytes; seeding
-	// from the injector keeps even the timing reproducible under test.
-	seed := int64(1)
-	if s := p.Injector.Seed(); s != 0 {
-		seed = s
-	}
-	bound := o.MaxInFlight
-	if bound <= 0 {
-		bound = workers
-	}
-	if workers > bound {
-		workers = bound // no point in more workers than admitted segments
-	}
-	w := &Writer{
-		dst:     dst,
-		params:  p,
-		opts:    o,
-		segSize: o.segmentSize(),
-		workers: workers,
-		bound:   bound,
-		ctx:     ctx,
-		rng:     rand.New(rand.NewSource(seed)),
-		met:     newWriterMetrics(p.Obs),
-	}
-	if p.Health != nil {
-		w.healthBase = p.Health.Snapshot()
-	}
-	if err := o.Parity.validate(); err != nil {
-		w.setErr(err)
-	}
-	if o.Codec != "" && o.Codec != codec.Auto {
-		if _, ok := codec.ByName(o.Codec); !ok {
-			w.setErr(fmt.Errorf("core: unknown codec %q (registered: %v, or %q)",
-				o.Codec, codec.Names(), codec.Auto))
-		}
-	}
-	if r := o.Resume; r != nil {
-		w.index = r.NextIndex
-		w.total = r.Total
-		w.crc = r.CRC
-		w.wstats.Resumed = r.NextIndex
-		if o.Parity.K > 0 {
-			w.parityGroup = append([][]byte(nil), r.GroupFrames...)
-			w.parityFirst = r.NextIndex - len(r.GroupFrames)
-			if w.parityFirst < 0 {
-				w.setErr(fmt.Errorf("core: resume carries %d group frames but only %d segments precede it",
-					len(r.GroupFrames), r.NextIndex))
-			}
-		}
-	}
-	w.bufPool = newBytePool(p.Obs, "writer-segment")
-	return w
-}
-
-// Stats returns a snapshot of the Writer's retry/degrade counters, plus
-// the supervisor's device-pool counters (as deltas over this Writer's
-// lifetime) when Params.Health is armed. It is safe to call concurrently
-// with Write and after Close.
-func (w *Writer) Stats() WriterStats {
-	w.wstatsMu.Lock()
-	st := w.wstats
-	w.wstatsMu.Unlock()
-	if sup := w.params.Health; sup != nil {
-		snap := sup.Snapshot()
-		st.TimedOut = snap.TimedOut - w.healthBase.TimedOut
-		st.Redispatched = snap.Redispatched - w.healthBase.Redispatched
-		st.BreakerOpens = snap.BreakerOpens - w.healthBase.BreakerOpens
-		st.Quarantined = snap.Quarantined
-	}
-	return st
-}
-
-// ctxErr reports the Writer context's error, if it is done.
-func (w *Writer) ctxErr() error {
-	select {
-	case <-w.ctx.Done():
-		return w.ctx.Err()
-	default:
-		return nil
-	}
-}
-
-// start lazily writes the stream header and spins up the pipeline.
-func (w *Writer) start() {
-	if w.started {
-		return
-	}
-	w.started = true
-	// A resumed stream already carries its header; emitting another would
-	// corrupt it mid-stream.
-	if w.opts.Resume == nil {
-		if _, err := format.WriteStreamHeader(w.dst, w.segSize); err != nil {
-			w.setErr(fmt.Errorf("core: writing stream header: %w", err))
-		}
-	}
-	// pending's capacity is the admission bound (StreamOptions.MaxInFlight,
-	// default HostWorkers): at most cap(pending)+1 segments exist
-	// concurrently (one being handed over in flush) — the memory bound.
-	w.pending = make(chan *segJob, w.bound)
-	// jobs can hold every in-flight job, so sending to it never blocks
-	// once the pending send has succeeded.
-	w.jobs = make(chan *segJob, w.bound+1)
-	w.emitted = make(chan struct{})
-	for i := 0; i < w.workers; i++ {
-		w.workerWG.Add(1)
-		go w.worker()
-	}
-	go w.emitter()
-}
-
-// worker compresses segments. Results go back through the per-job result
-// channel so the emitter can restore write order.
-func (w *Writer) worker() {
-	defer w.workerWG.Done()
-	for job := range w.jobs {
-		job.result <- w.compressSegment(job.index, job.data)
-	}
-}
-
-// emitter writes frames in submission order. On the first error it stops
-// writing but keeps draining, so Write/Close never deadlock against a
-// full pipeline.
-func (w *Writer) emitter() {
-	defer close(w.emitted)
-	// A resume-seeded group can already be full — its parity run was torn
-	// off with the crash. Re-emit that run before any new frame.
-	if k := w.opts.Parity.K; k > 0 && len(w.parityGroup) >= k && w.err() == nil {
-		if err := w.emitParity(); err != nil {
-			w.setErr(fmt.Errorf("core: writing resumed group parity: %w", err))
-		}
-	}
-	for job := range w.pending {
-		res := <-job.result
-		w.wstatsMu.Lock()
-		w.wstats.Segments++
-		w.wstats.Retries += res.retries
-		if res.degraded {
-			w.wstats.Degraded++
-		}
-		w.wstatsMu.Unlock()
-		// Mirror the same deltas into the registry at the same single
-		// site, so counters and Stats() reconcile exactly.
-		w.met.segments.Inc()
-		w.met.retries.Add(int64(res.retries))
-		if res.degraded {
-			w.met.degraded.Inc()
-		}
-		w.met.bytesIn.Add(int64(len(job.data)))
-		if res.err != nil {
-			w.met.errors.Inc()
-			w.setErr(fmt.Errorf("core: segment %d: %w", job.index, res.err))
-		} else if w.err() == nil {
-			var sp *obs.ActiveSpan
-			if w.met.tracer != nil {
-				sp = w.met.tracer.Start(fmt.Sprintf("segment %d", job.index), "frame-emit")
-			}
-			var n int
-			var err error
-			if w.opts.Parity.K > 0 {
-				// Parity covers the exact frame bytes, so build the frame
-				// once and both write and retain the same encoding.
-				enc := format.AppendSegmentFrame(nil, job.index, len(job.data), res.container)
-				n, err = w.dst.Write(enc)
-				if err == nil {
-					w.parityGroup = append(w.parityGroup, enc)
-					if len(w.parityGroup) == w.opts.Parity.K {
-						err = w.emitParity()
-					}
-				}
-			} else {
-				n, err = format.WriteSegmentFrame(w.dst, job.index, len(job.data), res.container)
-			}
-			sp.End(err)
-			w.met.bytesOut.Add(int64(n))
-			if err != nil {
-				w.setErr(fmt.Errorf("core: writing segment frame %d: %w", job.index, err))
-			} else {
-				w.met.segmentsFor(res.codec).Inc()
-				if w.opts.OnSegment != nil {
-					w.opts.OnSegment(SegmentReport{
-						Index:    job.index,
-						RawLen:   len(job.data),
-						FrameLen: n,
-						Codec:    res.codec,
-						Retries:  res.retries,
-						Degraded: res.degraded,
-						Report:   res.rep,
-					})
-				}
-			}
-		}
-		w.release(job)
-	}
-	// The final (possibly short) group still gets its parity: a reader
-	// must be able to repair losses in the stream's tail too.
-	if w.err() == nil && len(w.parityGroup) > 0 {
-		if err := w.emitParity(); err != nil {
-			w.setErr(fmt.Errorf("core: writing tail parity: %w", err))
-		}
-	}
-}
-
-// emitParity closes the open parity group: it derives the group's M
-// parity frames and writes them after the group's last data frame.
-// Runs on the emitter goroutine.
-func (w *Writer) emitParity() error {
-	pfs, err := format.BuildParityFrames(w.parityFirst, w.parityGroup, w.opts.Parity.M)
-	if err != nil {
-		return err
-	}
-	for _, pf := range pfs {
-		if _, err := format.WriteParityFrame(w.dst, pf); err != nil {
-			return err
-		}
-	}
-	w.wstatsMu.Lock()
-	w.wstats.ParityFrames += len(pfs)
-	w.wstatsMu.Unlock()
-	w.parityFirst += len(w.parityGroup)
-	w.parityGroup = w.parityGroup[:0]
-	return nil
-}
-
-// release returns a job's segment buffer to the pool and retires its
-// bytes from the in-flight account.
-func (w *Writer) release(job *segJob) {
-	w.flightMu.Lock()
-	w.inFlight -= cap(job.data)
-	w.flightMu.Unlock()
-	w.bufPool.put(job.data)
-	job.data = nil
-}
-
-// segmentEngine resolves the engine one segment compresses with:
-// StreamOptions.Codec by registry name (codec.Auto probes the segment),
-// "" through the legacy Params.Version routing — byte-identical to
-// previous releases, including VersionAuto's V1/V2-only sampling.
-func (w *Writer) segmentEngine(data []byte) (codec.Engine, error) {
-	if name := w.opts.Codec; name != "" {
-		return resolveEngine(name, data)
-	}
-	v := w.params.Version
-	if v == VersionAuto {
-		v = SelectVersion(data)
-	}
-	var name string
-	switch v {
-	case Version1:
-		name = "v1"
-	case Version2:
-		name = "v2"
-	case VersionSerial:
-		name = "cpu"
-	case VersionParallel:
-		name = "pthread"
-	case VersionBZip2:
-		name = "bzip2"
-	default:
-		return nil, fmt.Errorf("core: unknown version %v", v)
-	}
-	eng, ok := codec.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("core: engine %q not registered", name)
-	}
-	return eng, nil
-}
-
-// compressSegment compresses segment index with the Writer's parameters,
-// resolving the segment's engine via segmentEngine (so a stream may mix
-// codecs frame by frame under the adaptive selector).
-//
-// Accelerated engines run under the retry policy: a failed attempt is
-// retried after a jittered exponential backoff, and a segment that still
-// fails after MaxAttempts degrades to the engine's byte-identical host
-// twin (Engine.CompressCPU) unless the policy forbids it. With
-// Params.Health armed, accelerated segments additionally ride the
-// supervised device pool (per-device breakers, watchdog, redispatch)
-// inside each attempt. StreamOptions.SegmentDeadline bounds the whole
-// device phase; expiry degrades to the twin. Host engines (the CPU
-// codecs, bzip2, raw-store) fail fast — their errors are deterministic.
-func (w *Writer) compressSegment(index int, data []byte) segResult {
-	p := w.params
-	// Workers run concurrently; a shared SearchStats would race. Collect
-	// locally and merge under the stats mutex.
-	var local *lzss.SearchStats
-	if p.Stats != nil {
-		local = new(lzss.SearchStats)
-		p.Stats = local
-	}
-
-	eng, err := w.segmentEngine(data)
-	if err != nil {
-		return segResult{err: err}
-	}
-	opts, err := p.engineOptions(eng)
-	if err != nil {
-		return segResult{err: err}
-	}
-	opts.HostWorkers = 1 // the segment pipeline is the host parallelism
-
-	merge := func() {
-		if local != nil {
-			w.statsMu.Lock()
-			w.params.Stats.Add(*local)
-			w.statsMu.Unlock()
-		}
-	}
-
-	if !eng.Accelerated() {
-		out, rep, err := eng.Compress(data, opts)
-		if err == nil {
-			merge()
-		}
-		return segResult{container: out, codec: eng.Codec(), rep: rep, err: err}
-	}
-
-	// The segment context bounds the whole device phase: every attempt,
-	// the backoff sleeps, and (supervised) the redispatch ladder. Expiry
-	// does not fail the segment — it routes to the CPU degrade below.
-	segCtx := w.ctx
-	cancel := func() {}
-	if d := w.opts.SegmentDeadline; d > 0 {
-		segCtx, cancel = context.WithTimeout(w.ctx, d)
-	}
-	defer cancel()
-
-	// abortErr classifies a cancellation: non-nil means the segment must
-	// fail with it (the stream context is done and drain is off); nil
-	// means the device phase merely ended (segment deadline expired, or
-	// drain mode) and the segment should degrade.
-	abortErr := func() error {
-		if w.ctxErr() != nil && !w.opts.DrainOnCancel {
-			return w.ctx.Err()
-		}
-		return nil
-	}
-
-	supDegraded := false
-	var rep *gpu.Report
-	attempt := func() ([]byte, error) {
-		if local != nil {
-			*local = lzss.SearchStats{} // drop stats from a failed attempt
-		}
-		rep = nil
-		aopts := opts
-		aopts.Context = segCtx
-		if w.opts.GPUStreams > 1 && eng.Codec() == format.CodecCULZSSV1 {
-			// The slice scheduler consults opts.Health internally. It is
-			// V1-specific (its copy/execute schedule models the
-			// chunk-per-thread kernel), so other codecs take the plain path.
-			out, r, err := gpu.CompressV1Streamed(data, aopts, w.opts.GPUStreams)
-			rep = r
-			return out, err
-		}
-		if p.Health != nil {
-			out, r, degraded, err := gpu.CompressSupervised(
-				eng, data, aopts, index%p.Health.Devices(), fmt.Sprintf("segment %d", index))
-			if err == nil {
-				supDegraded = degraded
-				rep = r
-			}
-			return out, err
-		}
-		out, r, err := eng.Compress(data, aopts)
-		rep = r
-		return out, err
-	}
-
-	pol := w.opts.Retry
-	maxAttempts := pol.maxAttempts()
-	var lastErr error
-	retries := 0
-	for a := 1; ; a++ {
-		if cerr := segCtx.Err(); cerr != nil {
-			if err := abortErr(); err != nil {
-				return segResult{retries: retries, err: err}
-			}
-			lastErr = cerr
-			break // deadline expired (or draining): degrade
-		}
-		out, err := attempt()
-		if err == nil {
-			merge()
-			return segResult{container: out, codec: eng.Codec(), rep: rep,
-				retries: retries, degraded: supDegraded}
-		}
-		lastErr = err
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if aerr := abortErr(); aerr != nil {
-				return segResult{retries: retries, err: aerr}
-			}
-			break // the segment deadline cut the attempt: degrade
-		}
-		if a >= maxAttempts {
-			break
-		}
-		retries++
-		if err := w.sleepBackoff(segCtx, a); err != nil {
-			if aerr := abortErr(); aerr != nil {
-				return segResult{retries: retries, err: aerr}
-			}
-			break
-		}
-	}
-
-	if pol.DisableFallback {
-		return segResult{retries: retries,
-			err: fmt.Errorf("core: gpu path failed after %d attempts: %w", maxAttempts, lastErr)}
-	}
-	if local != nil {
-		*local = lzss.SearchStats{}
-	}
-	// Degrade: the engine's host twin, zero device fault sites. The twin
-	// emits the same container bytes as the device path, so mixed streams
-	// stay parity-consistent and decode through the ordinary path. Under
-	// graceful drain the stream context may already be cancelled; the
-	// fallback still runs to completion so Close can emit a trailer
-	// covering every accepted byte (only reachable with DrainOnCancel —
-	// otherwise a cancelled stream returned above).
-	fbCtx := w.ctx
-	if w.ctxErr() != nil {
-		fbCtx = context.Background()
-	}
-	out, err := eng.CompressCPU(data, gpu.Options{
-		ChunkSize:       p.ChunkSize,
-		ThreadsPerBlock: p.ThreadsPerBlock,
-		Config:          opts.Config,
-		HostWorkers:     1,
-		Stats:           local,
-		Context:         fbCtx,
-	})
-	if err != nil {
-		return segResult{retries: retries,
-			err: fmt.Errorf("core: cpu fallback after gpu failure (%v): %w", lastErr, err)}
-	}
-	merge()
-	return segResult{container: out, codec: eng.Codec(), retries: retries, degraded: true}
-}
-
-// sleepBackoff sleeps the jittered exponential delay before retry number
-// attempt, returning early with ctx's error if it fires first.
-func (w *Writer) sleepBackoff(ctx context.Context, attempt int) error {
-	pol := w.opts.Retry
-	d := pol.baseBackoff() << uint(attempt-1)
-	if limit := pol.maxBackoff(); d > limit || d <= 0 {
-		d = limit
-	}
-	// Full jitter over [d/2, d] decorrelates retry storms.
-	w.rngMu.Lock()
-	j := d/2 + time.Duration(w.rng.Int63n(int64(d/2)+1))
-	w.rngMu.Unlock()
-	t := time.NewTimer(j)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (w *Writer) setErr(err error) {
-	w.mu.Lock()
-	if w.werr == nil {
-		w.werr = err
-	}
-	w.mu.Unlock()
-}
-
-func (w *Writer) err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.werr
-}
-
-// Write accepts plaintext, cutting and dispatching full segments as they
-// accumulate. It blocks when HostWorkers segments are already in flight.
-func (w *Writer) Write(data []byte) (int, error) {
-	if w.closed {
-		return 0, ErrClosed
-	}
-	if err := w.ctxErr(); err != nil {
-		return 0, err
-	}
-	if err := w.err(); err != nil {
-		return 0, err
-	}
-	w.start()
-	if err := w.err(); err != nil {
-		return 0, err // e.g. the stream header failed to write
-	}
-	written := 0
-	for len(data) > 0 {
-		if w.buf == nil {
-			w.buf = w.bufPool.get(w.segSize)
-			w.segStart = time.Now()
-		}
-		n := w.segSize - len(w.buf)
-		if n > len(data) {
-			n = len(data)
-		}
-		w.buf = append(w.buf, data[:n]...)
-		w.crc = format.Checksum32Update(w.crc, data[:n])
-		w.total += n
-		written += n
-		data = data[n:]
-		if len(w.buf) == w.segSize {
-			if err := w.flushSegment(); err != nil {
-				return written, err
-			}
-		}
-	}
-	return written, nil
-}
-
-// flushSegment hands the current buffer to the pipeline. The send into
-// pending blocks while HostWorkers segments are in flight — that
-// backpressure is the Writer's memory bound.
-func (w *Writer) flushSegment() error {
-	if w.met.tracer != nil {
-		// The "read" stage: wall time spent accumulating this segment's
-		// plaintext (includes the caller's own pacing — that is the
-		// point: a slow producer shows up here, not in compress stages).
-		w.met.tracer.Record(obs.Span{
-			Op: fmt.Sprintf("segment %d", w.index), Stage: "read", Device: -1,
-			Start: w.segStart, Duration: time.Since(w.segStart),
-		})
-	}
-	job := &segJob{index: w.index, data: w.buf, result: make(chan segResult, 1)}
-	w.index++
-	w.buf = nil
-	w.flightMu.Lock()
-	w.inFlight += cap(job.data)
-	if w.inFlight > w.maxFlight {
-		w.maxFlight = w.inFlight
-	}
-	w.flightMu.Unlock()
-	if w.opts.DrainOnCancel {
-		// Graceful drain: the bytes were accepted, so the segment enters
-		// the pipeline even while the stream context is cancelled — the
-		// workers degrade it to the CPU encoder and the trailer stays
-		// honest. The send still bounds memory (pending drains because
-		// in-flight segments always complete under drain).
-		w.pending <- job
-	} else {
-		select {
-		case w.pending <- job:
-		case <-w.ctx.Done():
-			// The job never entered the pipeline; retire it here.
-			w.release(job)
-			w.setErr(w.ctx.Err())
-			return w.err()
-		}
-	}
-	w.jobs <- job
-	return w.err()
-}
-
-// Close flushes the final partial segment, waits for the pipeline to
-// drain, writes the stream trailer, and reports the first error seen.
-// Closing an empty Writer emits a valid zero-segment stream. A second
-// Close is a no-op returning nil.
-func (w *Writer) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	w.start()
-	if w.buf != nil && len(w.buf) > 0 {
-		if err := w.flushSegment(); err != nil {
-			// Pipeline already failed; still fall through to teardown.
-			_ = err
-		}
-	}
-	close(w.jobs)
-	close(w.pending)
-	w.workerWG.Wait()
-	<-w.emitted
-	if err := w.err(); err != nil {
-		return err
-	}
-	trailer := &format.StreamTrailer{Segments: w.index, TotalLen: w.total, Checksum: w.crc}
-	if _, err := format.WriteStreamTrailer(w.dst, trailer); err != nil {
-		w.setErr(fmt.Errorf("core: writing stream trailer: %w", err))
-	}
-	return w.err()
-}
-
-// maxInFlight reports the high-water mark of segment-buffer bytes held by
-// the pipeline (test hook for the memory-bound guarantee).
-func (w *Writer) maxInFlight() int {
-	w.flightMu.Lock()
-	defer w.flightMu.Unlock()
-	return w.maxFlight
-}
-
-// Reader is an io.Reader serving the decompressed expansion of either a
-// framed stream or a bare container (decompressed whole).
-//
-// Framed streams decode through a bounded concurrent pipeline, the mirror
-// image of the Writer's: a prefetcher goroutine pulls records off the
-// format.FrameReader (the sole owner of the frame/salvage/repair state), a
-// pool of HostWorkers decode workers decompresses segment containers
-// concurrently, and delivery — the Read side — replays the prefetcher's
-// in-order event queue, so plaintext order, corruption and repair records,
-// and every callback are identical to a serial decode no matter how decode
-// completions interleave. Peak decoded-segment memory is bounded by
-// MaxInFlight segments (plus the one being served); Prefetch bounds how
-// far the prefetcher reads ahead of delivery.
-type Reader struct {
-	params Params
-	opts   ReaderOptions
-	ctx    context.Context
-	met    readerMetrics
-
-	// Legacy single-container mode.
-	legacy *bytes.Reader
-
-	// Framed mode. The pipeline starts lazily at the first Read; until
-	// then a Reader costs no goroutines.
-	fr       *format.FrameReader
-	workers  int // decode worker-pool size
-	inner    int // per-segment inner decode parallelism
-	bound    int // admission bound: segments decoded or decoding at once
-	prefetch int // event-queue capacity: records read ahead of delivery
-
-	started bool
-	closed  bool
-	events  chan *readEvent // in-order record queue, prefetcher -> delivery
-	jobs    chan *readEvent // decode-job feed, prefetcher -> workers
-	tokens  chan struct{}   // admission semaphore, capacity bound
-	pctx    context.Context
-	pcancel context.CancelFunc
-	wg      sync.WaitGroup // prefetcher + workers
-
-	contPool  *bytePool // frame container buffers (fed to fr.Lease)
-	plainPool *bytePool // decoded segment buffers
-
-	cur    []byte // decoded bytes of the current segment not yet consumed
-	curBuf []byte // cur's pool-owned backing buffer, recycled once drained
-	crc    uint32 // running CRC-32 of the plaintext served so far
-	served int
-	done   bool
-	err    error
-
-	// mu guards the record lists, stats, and in-flight accounting against
-	// concurrent scrapes: Stats, CorruptSegments, and RepairedSegments
-	// are safe to call while Read runs.
-	mu       sync.Mutex
-	corrupt  []*format.CorruptSegmentError
-	repaired []*format.RepairedSegmentError
-	stats    ReaderStats
-	inflight int
-}
-
-// readEvent is one in-order record from the prefetcher; exactly one of
-// frame, trailer, cse, rse, or err is set. Frame events double as decode
-// jobs: a worker fills plain/rep/derr and closes done.
-type readEvent struct {
-	frame   *format.SegmentFrame
-	trailer *format.StreamTrailer
-	cse     *format.CorruptSegmentError
-	rse     *format.RepairedSegmentError
-	err     error
-
-	done  chan struct{}
-	plain []byte
-	buf   []byte // plain's pool-owned backing buffer; nil if not pooled
-	rep   *gpu.Report
-	derr  error
-}
-
 // ReaderStats is a point-in-time snapshot of a framed Reader's decode
 // activity, safe to take concurrently with Read.
 type ReaderStats struct {
@@ -1222,14 +441,6 @@ type ReaderOptions struct {
 // layer's segment ceiling — far beyond any real single container.
 const DefaultMaxContainerLen = int64(format.MaxSegmentLen)
 
-// ErrContainerTooLarge reports a bare (non-framed) input longer than
-// ReaderOptions.MaxContainerLen.
-var ErrContainerTooLarge = errors.New("core: bare container too large")
-
-// ErrReaderClosed is returned by Read after Close interrupted a framed
-// stream mid-decode.
-var ErrReaderClosed = errors.New("core: reader is closed")
-
 // resolve computes the pipeline geometry — worker count, admission bound,
 // and read-ahead — applying the documented defaults.
 func (o *ReaderOptions) resolve(p Params) (workers, bound, prefetch int) {
@@ -1252,506 +463,4 @@ func (o *ReaderOptions) resolve(p Params) (workers, bound, prefetch int) {
 		prefetch = bound
 	}
 	return workers, bound, prefetch
-}
-
-// NewReader sniffs src and returns a Reader over the plaintext. Framed
-// streams decode lazily: NewReader itself reads only the stream header, so
-// a pipe that has produced only its first frames is readable immediately.
-func NewReader(src io.Reader, p Params) (*Reader, error) {
-	return NewReaderOptions(src, p, ReaderOptions{})
-}
-
-// NewReaderOptions is NewReader with explicit decode options.
-func NewReaderOptions(src io.Reader, p Params, o ReaderOptions) (*Reader, error) {
-	ctx := o.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	br := bufio.NewReader(src)
-	magic, err := br.Peek(len(format.StreamMagic))
-	if err == nil && string(magic) == format.StreamMagic {
-		var fr *format.FrameReader
-		var ferr error
-		if o.Salvage || o.Repair {
-			fr, ferr = format.NewFrameReaderSalvage(br)
-		} else {
-			fr, ferr = format.NewFrameReader(br)
-		}
-		if ferr != nil {
-			return nil, ferr
-		}
-		fr.Obs = p.Obs
-		if o.Repair {
-			o.Salvage = true
-			fr.EnableRepair()
-		}
-		r := &Reader{params: p, opts: o, ctx: ctx, fr: fr, met: newReaderMetrics(p.Obs)}
-		r.workers, r.bound, r.prefetch = o.resolve(p)
-		r.inner = 1
-		if r.workers == 1 {
-			// A serial pipeline keeps the pre-pipeline behaviour: the one
-			// decode at a time may use inner chunk parallelism.
-			r.inner = p.HostWorkers
-		}
-		r.contPool = newBytePool(p.Obs, "reader-container")
-		r.plainPool = newBytePool(p.Obs, "reader-plain")
-		fr.Lease = func(n int) []byte { return r.contPool.get(n) }
-		return r, nil
-	}
-	// Bare container (or too short / not ours — let Decompress produce
-	// the diagnostic). MaxContainerLen bounds the buffering so an endless
-	// input fails typed instead of exhausting memory.
-	limit := o.MaxContainerLen
-	if limit == 0 {
-		limit = DefaultMaxContainerLen
-	}
-	var container []byte
-	if limit < 0 {
-		container, err = io.ReadAll(br)
-	} else {
-		container, err = io.ReadAll(io.LimitReader(br, limit+1))
-		if err == nil && int64(len(container)) > limit {
-			err = fmt.Errorf("%w: input exceeds %d bytes (raise ReaderOptions.MaxContainerLen)",
-				ErrContainerTooLarge, limit)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	out, err := Decompress(container, p)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{params: p, opts: o, ctx: ctx, legacy: bytes.NewReader(out)}, nil
-}
-
-// CorruptSegments returns the damaged regions recorded so far (salvage
-// mode). A synthetic entry with Index == -1 marks a stream that ended
-// without its trailer (truncated tail). The returned slice is a copy and
-// grows as Read progresses; it is complete once Read has returned io.EOF.
-// Safe to call concurrently with Read.
-func (r *Reader) CorruptSegments() []*format.CorruptSegmentError {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*format.CorruptSegmentError(nil), r.corrupt...)
-}
-
-// RepairedSegments returns the healed regions recorded so far (repair
-// mode): damage that parity reconstruction fully reversed, whose
-// segments were served bit-identical to the originals. The returned
-// slice is a copy and grows as Read progresses; it is complete once Read
-// has returned io.EOF. Safe to call concurrently with Read.
-func (r *Reader) RepairedSegments() []*format.RepairedSegmentError {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*format.RepairedSegmentError(nil), r.repaired...)
-}
-
-// Stats returns a snapshot of the Reader's decode-pipeline activity,
-// safe to take concurrently with Read. For a legacy bare-container
-// Reader every field is zero.
-func (r *Reader) Stats() ReaderStats {
-	r.mu.Lock()
-	st := r.stats
-	r.mu.Unlock()
-	if r.contPool != nil {
-		ch, cm := r.contPool.counts()
-		ph, pm := r.plainPool.counts()
-		st.PoolHits, st.PoolMisses = ch+ph, cm+pm
-	}
-	return st
-}
-
-// ctxErr reports the Reader context's error, if it is done.
-func (r *Reader) ctxErr() error {
-	select {
-	case <-r.ctx.Done():
-		return r.ctx.Err()
-	default:
-		return nil
-	}
-}
-
-// Read implements io.Reader.
-func (r *Reader) Read(p []byte) (int, error) {
-	if err := r.ctxErr(); err != nil {
-		return 0, err
-	}
-	if r.legacy != nil {
-		return r.legacy.Read(p)
-	}
-	if r.err != nil {
-		return 0, r.err
-	}
-	r.startPipeline()
-	for len(r.cur) == 0 {
-		if r.curBuf != nil {
-			r.plainPool.put(r.curBuf)
-			r.cur, r.curBuf = nil, nil
-		}
-		if r.done {
-			return 0, io.EOF
-		}
-		if err := r.nextEvent(); err != nil {
-			r.err = err
-			return 0, err
-		}
-	}
-	n := copy(p, r.cur)
-	r.cur = r.cur[n:]
-	if len(r.cur) == 0 && r.curBuf != nil {
-		r.plainPool.put(r.curBuf)
-		r.cur, r.curBuf = nil, nil
-	}
-	return n, nil
-}
-
-// startPipeline lazily spins up the decode pipeline on the first Read,
-// so a Reader that is constructed but never read costs no goroutines.
-func (r *Reader) startPipeline() {
-	if r.started {
-		return
-	}
-	r.started = true
-	r.pctx, r.pcancel = context.WithCancel(r.ctx)
-	r.events = make(chan *readEvent, r.prefetch)
-	// jobs can hold every admitted job (admission is bounded by tokens),
-	// so once an event is queued the prefetcher's job send cannot block —
-	// mirroring the Writer's jobs/pending pair.
-	r.jobs = make(chan *readEvent, r.bound)
-	r.tokens = make(chan struct{}, r.bound)
-	r.wg.Add(1 + r.workers)
-	go r.prefetcher()
-	for i := 0; i < r.workers; i++ {
-		go r.decodeWorker()
-	}
-}
-
-// prefetcher is the sole owner of the FrameReader: it converts the
-// frame/salvage/repair record stream into the in-order event queue,
-// dispatching segment frames to the decode workers. Stream order is
-// fixed here, before any concurrency; delivery replays the queue.
-func (r *Reader) prefetcher() {
-	defer r.wg.Done()
-	defer close(r.jobs)
-	defer close(r.events)
-	for seq := 0; ; seq++ {
-		var sp *obs.ActiveSpan
-		if r.met.tracer != nil {
-			sp = r.met.tracer.Start(fmt.Sprintf("record %d", seq), "frame-read")
-		}
-		frame, trailer, err := r.fr.Next()
-		sp.End(err)
-		ev := &readEvent{}
-		terminal := false
-		switch {
-		case err != nil:
-			salvaged := false
-			if r.opts.Salvage {
-				// A RepairedSegmentError may wrap the parse failure that
-				// revealed the damage, so match it before the corrupt
-				// case. Both are non-sticky: the next record follows.
-				var rse *format.RepairedSegmentError
-				var cse *format.CorruptSegmentError
-				if errors.As(err, &rse) {
-					ev.rse, salvaged = rse, true
-				} else if errors.As(err, &cse) {
-					ev.cse, salvaged = cse, true
-				}
-			}
-			if !salvaged {
-				ev.err = err
-				terminal = true
-			}
-		case trailer != nil:
-			ev.trailer = trailer
-			terminal = true
-		default:
-			ev.frame = frame
-			ev.done = make(chan struct{})
-			// Admission: acquire an in-flight token before the event is
-			// queued, so the head of the queue is always a job the
-			// workers will run — delivery never waits on an unadmitted
-			// decode.
-			select {
-			case r.tokens <- struct{}{}:
-			case <-r.pctx.Done():
-				return
-			}
-			r.noteAdmit()
-		}
-		select {
-		case r.events <- ev:
-		case <-r.pctx.Done():
-			return
-		}
-		if ev.frame != nil {
-			r.jobs <- ev
-		}
-		if terminal {
-			return
-		}
-	}
-}
-
-// decodeWorker drains the job feed until it closes or the pipeline is
-// cancelled.
-func (r *Reader) decodeWorker() {
-	defer r.wg.Done()
-	for ev := range r.jobs {
-		r.decodeOne(ev)
-	}
-}
-
-// decodeOne decompresses one segment container into a pooled buffer and
-// publishes the result on the event.
-func (r *Reader) decodeOne(ev *readEvent) {
-	defer close(ev.done)
-	if err := r.pctx.Err(); err != nil {
-		ev.derr = err
-		return
-	}
-	var sp *obs.ActiveSpan
-	if r.met.tracer != nil {
-		sp = r.met.tracer.Start(fmt.Sprintf("segment %d", ev.frame.Index), "decode")
-	}
-	leased := r.plainPool.get(ev.frame.RawLen)
-	plain, rep, err := decompressInto(leased, ev.frame.Container, r.params, r.pctx, r.inner)
-	sp.End(err)
-	r.contPool.put(ev.frame.Container)
-	ev.frame.Container = nil
-	if err != nil {
-		r.plainPool.put(leased)
-		ev.derr = err
-		return
-	}
-	if aliases(plain, leased) {
-		ev.buf = leased
-	} else {
-		// The codec allocated its own output (CPU paths, or a container
-		// whose header asked for more than the lease); recycle the lease.
-		r.plainPool.put(leased)
-	}
-	ev.plain = plain
-	ev.rep = rep
-}
-
-// aliases reports whether the decoded output landed inside the leased
-// buffer, as opposed to a fresh or codec-internal allocation.
-func aliases(plain, leased []byte) bool {
-	return cap(plain) > 0 && cap(leased) > 0 && &plain[:1][0] == &leased[:1][0]
-}
-
-// nextEvent consumes in-order events until one yields plaintext, the
-// trailer, or an error — the concurrent mirror of the serial reader's
-// nextSegment loop. All bookkeeping (records, callbacks, CRC, totals)
-// happens here, on the Read side, in queue order.
-func (r *Reader) nextEvent() error {
-	for {
-		if err := r.ctxErr(); err != nil {
-			return err
-		}
-		ev, ok := <-r.events
-		if !ok {
-			// The pipeline stopped without a terminal record: the Reader
-			// was closed (or its context cancelled) mid-stream.
-			if err := r.ctxErr(); err != nil {
-				return err
-			}
-			return ErrReaderClosed
-		}
-		switch {
-		case ev.rse != nil:
-			r.recordRepaired(ev.rse)
-		case ev.cse != nil:
-			r.recordCorrupt(ev.cse)
-		case ev.err != nil:
-			r.finish()
-			if r.opts.Salvage && errors.Is(ev.err, format.ErrTruncated) {
-				// The stream ended without its trailer. Deliver what we
-				// have; the truncation is recorded for the caller.
-				r.recordCorrupt(&format.CorruptSegmentError{Index: -1, Err: format.ErrTruncated})
-				r.done = true
-				return nil
-			}
-			return ev.err
-		case ev.trailer != nil:
-			r.finish()
-			if r.corruptCount() == 0 {
-				if ev.trailer.TotalLen != r.served {
-					return fmt.Errorf("%w: trailer says %d plaintext bytes, decoded %d",
-						format.ErrCorrupt, ev.trailer.TotalLen, r.served)
-				}
-				if ev.trailer.Checksum != r.crc {
-					return fmt.Errorf("%w: stream trailer", format.ErrChecksum)
-				}
-			}
-			// With recorded corruption the end-to-end totals cannot match;
-			// the delivered segments were each CRC-verified individually.
-			r.done = true
-			return nil
-		default:
-			delivered, err := r.deliverFrame(ev)
-			if err != nil {
-				return err
-			}
-			if delivered {
-				return nil
-			}
-		}
-	}
-}
-
-// deliverFrame waits for one frame event's decode and applies the serial
-// reader's delivery rules. It reports whether plaintext was delivered
-// into r.cur (false: the segment was recorded corrupt and skipped,
-// salvage mode only).
-func (r *Reader) deliverFrame(ev *readEvent) (bool, error) {
-	select {
-	case <-ev.done:
-	case <-r.ctx.Done():
-		return false, r.ctx.Err()
-	}
-	r.noteRetire()
-	frame := ev.frame
-	if ev.derr != nil {
-		if errors.Is(ev.derr, context.Canceled) || errors.Is(ev.derr, context.DeadlineExceeded) {
-			// Pipeline shutdown cut this decode short: cancellation, not
-			// data corruption — never a salvage record.
-			if err := r.ctxErr(); err != nil {
-				return false, err
-			}
-			return false, ev.derr
-		}
-		if r.opts.Salvage {
-			// The frame CRC held but the container inside is broken (for
-			// example a frame-header bit-flip mislabelled an intact
-			// container). Skip just this segment.
-			r.recordCorrupt(&format.CorruptSegmentError{Index: frame.Index, Err: ev.derr})
-			return false, nil
-		}
-		return false, fmt.Errorf("core: segment %d: %w", frame.Index, ev.derr)
-	}
-	if len(ev.plain) != frame.RawLen {
-		r.plainPool.put(ev.buf)
-		err := fmt.Errorf("%w: segment %d decoded to %d bytes, frame says %d",
-			format.ErrCorrupt, frame.Index, len(ev.plain), frame.RawLen)
-		if r.opts.Salvage {
-			r.recordCorrupt(&format.CorruptSegmentError{Index: frame.Index, Err: err})
-			return false, nil
-		}
-		return false, err
-	}
-	r.crc = format.Checksum32Update(r.crc, ev.plain)
-	r.served += len(ev.plain)
-	r.cur = ev.plain
-	r.curBuf = ev.buf
-	r.met.segments.Inc()
-	r.met.bytesOut.Add(int64(len(ev.plain)))
-	r.mu.Lock()
-	r.stats.Segments++
-	r.stats.Bytes += len(ev.plain)
-	r.mu.Unlock()
-	if r.opts.OnSegment != nil {
-		r.opts.OnSegment(frame.Index, frame.RawLen, ev.rep)
-	}
-	return true, nil
-}
-
-// recordCorrupt appends one damaged region and fires the callback.
-func (r *Reader) recordCorrupt(cse *format.CorruptSegmentError) {
-	r.met.corrupt.Inc()
-	r.mu.Lock()
-	r.corrupt = append(r.corrupt, cse)
-	r.stats.Corrupt = len(r.corrupt)
-	r.mu.Unlock()
-	if r.opts.OnCorrupt != nil {
-		r.opts.OnCorrupt(cse)
-	}
-}
-
-// recordRepaired appends one healed region and fires the callback.
-func (r *Reader) recordRepaired(rse *format.RepairedSegmentError) {
-	r.mu.Lock()
-	r.repaired = append(r.repaired, rse)
-	r.stats.Repaired = len(r.repaired)
-	r.mu.Unlock()
-	if r.opts.OnRepair != nil {
-		r.opts.OnRepair(rse)
-	}
-}
-
-func (r *Reader) corruptCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.corrupt)
-}
-
-// noteAdmit accounts one segment entering the pipeline (prefetcher side:
-// called with the admission token held).
-func (r *Reader) noteAdmit() {
-	r.mu.Lock()
-	r.inflight++
-	if r.inflight > r.stats.MaxInFlight {
-		r.stats.MaxInFlight = r.inflight
-	}
-	r.mu.Unlock()
-	r.met.inflight.Inc()
-}
-
-// noteRetire accounts one segment leaving the pipeline at delivery and
-// releases its admission token.
-func (r *Reader) noteRetire() {
-	r.mu.Lock()
-	r.inflight--
-	r.mu.Unlock()
-	r.met.inflight.Dec()
-	<-r.tokens
-}
-
-// finish tears the pipeline down after a terminal record: the prefetcher
-// has already stopped; cancellation unblocks anything else and the
-// goroutines are joined.
-func (r *Reader) finish() {
-	if r.pcancel != nil {
-		r.pcancel()
-	}
-	r.wg.Wait()
-}
-
-// Close releases the decode pipeline without reading to EOF: in-flight
-// decodes are cancelled and every pipeline goroutine is joined. It never
-// closes the underlying source. Close is idempotent, and a Reader that
-// reaches io.EOF (or a terminal error) tears its pipeline down on its
-// own — Close is for abandoning a framed stream midway, after which Read
-// returns ErrReaderClosed.
-func (r *Reader) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	if r.legacy != nil || !r.started {
-		return nil
-	}
-	r.pcancel()
-	r.wg.Wait()
-	for range r.events {
-		// Drain whatever the prefetcher had queued so nothing pins the
-		// pooled buffers; the pool references die with the Reader.
-	}
-	if r.err == nil && !r.done {
-		r.err = ErrReaderClosed
-	}
-	return nil
-}
-
-// Len reports the plaintext bytes currently buffered and undelivered. For
-// a bare container that is the whole remainder; for a framed stream it is
-// the unread tail of the current segment (the stream's total length is
-// only known at the trailer).
-func (r *Reader) Len() int {
-	if r.legacy != nil {
-		return r.legacy.Len()
-	}
-	return len(r.cur)
 }

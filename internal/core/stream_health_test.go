@@ -69,10 +69,10 @@ func TestWriterSupervisedChaosStream(t *testing.T) {
 	// complete byte-identical to the healthy single-device stream, with
 	// the supervisor's counters visible through Stats.
 	input := datasets.CFiles(300<<10, 51)
-	so := StreamOptions{SegmentSize: 64 << 10}
+	so := StreamOptions{Codec: "v1", SegmentSize: 64 << 10}
 
 	var healthy bytes.Buffer
-	hw := NewWriterOptions(&healthy, Params{Version: Version1, HostWorkers: 2}, so)
+	hw := NewWriterOptions(&healthy, Params{HostWorkers: 2}, so)
 	writeAll(t, hw, input)
 	if err := hw.Close(); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestWriterSupervisedChaosStream(t *testing.T) {
 	}, health.Policy{Threshold: 1, OpenFor: 50 * time.Millisecond, Deadline: 2 * time.Second})
 
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, HostWorkers: 2, Health: sup}, so)
+	w := NewWriterOptions(&buf, Params{HostWorkers: 2, Health: sup}, so)
 	writeAll(t, w, input)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -127,10 +127,10 @@ func TestWriterSupervisedChaosStream(t *testing.T) {
 
 func TestWriterSupervisedAllDeadDegrades(t *testing.T) {
 	input := datasets.CFiles(150<<10, 52)
-	so := StreamOptions{SegmentSize: 64 << 10, Retry: RetryPolicy{MaxAttempts: 1}}
+	so := StreamOptions{Codec: "v1", SegmentSize: 64 << 10, Retry: RetryPolicy{MaxAttempts: 1}}
 
 	var healthy bytes.Buffer
-	hw := NewWriterOptions(&healthy, Params{Version: Version1, HostWorkers: 2}, so)
+	hw := NewWriterOptions(&healthy, Params{HostWorkers: 2}, so)
 	writeAll(t, hw, input)
 	if err := hw.Close(); err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestWriterSupervisedAllDeadDegrades(t *testing.T) {
 
 	sup := health.NewPool(deadDevice(), 2, health.Policy{Threshold: 1, OpenFor: time.Hour})
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, HostWorkers: 2, Health: sup}, so)
+	w := NewWriterOptions(&buf, Params{HostWorkers: 2, Health: sup}, so)
 	writeAll(t, w, input)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -154,12 +154,12 @@ func TestWriterSupervisedAllDeadDegrades(t *testing.T) {
 
 func TestCompressOneShotSupervisedDegrade(t *testing.T) {
 	input := datasets.DEMap(64<<10, 53)
-	want, err := Compress(input, Params{Version: Version1})
+	want, _, err := CompressCodec(input, "v1", Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sup := health.NewPool(deadDevice(), 2, health.Policy{Threshold: 1, OpenFor: time.Hour})
-	got, rep, err := CompressWithReport(input, Params{Version: Version1, Health: sup})
+	got, rep, err := CompressCodec(input, "v1", Params{Health: sup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +181,8 @@ func TestWriterAdmissionBound(t *testing.T) {
 	input := datasets.HighlyCompressible(2<<20, 54)
 	const seg = 64 << 10
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: VersionSerial, HostWorkers: 8},
-		StreamOptions{SegmentSize: seg, MaxInFlight: 2})
+	w := NewWriterOptions(&buf, Params{HostWorkers: 8},
+		StreamOptions{Codec: "cpu", SegmentSize: seg, MaxInFlight: 2})
 	writeAll(t, w, input)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -208,8 +208,9 @@ func TestWriterSegmentDeadlineDegrades(t *testing.T) {
 	input := datasets.CFiles(100<<10, 55)
 	var buf bytes.Buffer
 	start := time.Now()
-	w := NewWriterOptions(&buf, Params{Version: Version1, Device: hangDevice(testSeed(7)), HostWorkers: 2},
+	w := NewWriterOptions(&buf, Params{Device: hangDevice(testSeed(7)), HostWorkers: 2},
 		StreamOptions{
+			Codec:           "v1",
 			SegmentSize:     64 << 10,
 			SegmentDeadline: 100 * time.Millisecond,
 			Retry:           RetryPolicy{MaxAttempts: 2},
@@ -239,7 +240,8 @@ func TestWriterDrainOnCancelEmitsValidTrailer(t *testing.T) {
 	const seg = 64 << 10
 	ctx, cancel := context.WithCancel(context.Background())
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, HostWorkers: 2}, StreamOptions{
+	w := NewWriterOptions(&buf, Params{HostWorkers: 2}, StreamOptions{
+		Codec:         "v1",
 		SegmentSize:   seg,
 		Context:       ctx,
 		DrainOnCancel: true,
@@ -266,7 +268,8 @@ func TestWriterDrainFinishesInFlightUnderDeadDevice(t *testing.T) {
 	input := datasets.CFiles(130<<10, 57)
 	ctx, cancel := context.WithCancel(context.Background())
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, Device: deadDevice(), HostWorkers: 2}, StreamOptions{
+	w := NewWriterOptions(&buf, Params{Device: deadDevice(), HostWorkers: 2}, StreamOptions{
+		Codec:         "v1",
 		SegmentSize:   64 << 10,
 		Context:       ctx,
 		DrainOnCancel: true,
@@ -291,7 +294,7 @@ func TestWriterDefaultCancelStillFailsFast(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1}, StreamOptions{Context: ctx})
+	w := NewWriterOptions(&buf, Params{}, StreamOptions{Codec: "v1", Context: ctx})
 	if _, err := w.Write([]byte("data")); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Write err = %v, want context.Canceled", err)
 	}
@@ -307,10 +310,10 @@ func TestWriterChaosSoak(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 	input := datasets.KernelTarball(400<<10, 58)
-	so := StreamOptions{SegmentSize: 32 << 10, Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
+	so := StreamOptions{Codec: "v1", SegmentSize: 32 << 10, Retry: RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
 
 	var healthy bytes.Buffer
-	hw := NewWriterOptions(&healthy, Params{Version: Version1, HostWorkers: 2}, so)
+	hw := NewWriterOptions(&healthy, Params{HostWorkers: 2}, so)
 	writeAll(t, hw, input)
 	if err := hw.Close(); err != nil {
 		t.Fatal(err)
@@ -329,7 +332,7 @@ func TestWriterChaosSoak(t *testing.T) {
 
 	start := time.Now()
 	var buf bytes.Buffer
-	w := NewWriterOptions(&buf, Params{Version: Version1, HostWorkers: 3, Health: sup}, so)
+	w := NewWriterOptions(&buf, Params{HostWorkers: 3, Health: sup}, so)
 	writeAll(t, w, input)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

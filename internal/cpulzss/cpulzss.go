@@ -166,6 +166,10 @@ func Decompress(container []byte, workers int) ([]byte, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if limit := cfg.MaxDecodedBitPacked(h.PayloadLen()); int64(h.OriginalLen) > limit {
+		return nil, fmt.Errorf("cpulzss: %w: container claims %d bytes, its payload decodes to at most %d",
+			format.ErrCorrupt, h.OriginalLen, limit)
+	}
 	payload := container[off:]
 	out := make([]byte, h.OriginalLen)
 	bounds := h.ChunkBounds()

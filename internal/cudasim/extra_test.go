@@ -2,9 +2,7 @@ package cudasim
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestPhasedDeterministicAcrossHostWorkers: the functional result and the
@@ -120,73 +118,6 @@ func TestStridedBoundsFaults(t *testing.T) {
 			b.GlobalReadStrided(buf, g, 0, 2, 1, 32)
 		}); err == nil {
 		t.Fatal("undersized dst not faulted")
-	}
-}
-
-// TestGoroutineEngineHistogram exercises atomics under real concurrency.
-func TestGoroutineEngineHistogram(t *testing.T) {
-	d := FermiGTX480()
-	data := make([]byte, 4096)
-	for i := range data {
-		data[i] = byte(i % 16)
-	}
-	var hist [16]int32
-	err := d.Launch(8, 128, 0, 0, func(g *GThread) {
-		base := g.BlockIdx * 512
-		for i := g.ThreadIdx; i < 512; i += g.BlockDim {
-			g.AtomicAdd(&hist[data[base+i]], 1)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v, c := range hist {
-		if c != 256 {
-			t.Fatalf("hist[%d] = %d, want 256", v, c)
-		}
-	}
-}
-
-// TestGoroutineEngineBarrierPhases checks that barriers order cross-thread
-// visibility over multiple phases.
-func TestGoroutineEngineBarrierPhases(t *testing.T) {
-	d := FermiGTX480()
-	const tpb = 64
-	var violations atomic.Int32
-	err := d.Launch(4, tpb, tpb, 0, func(g *GThread) {
-		for phase := int32(1); phase <= 8; phase++ {
-			g.Shared[g.ThreadIdx] = phase
-			g.SyncThreads()
-			// Every peer must have published this phase's value.
-			peer := (g.ThreadIdx + 17) % g.BlockDim
-			if g.Shared[peer] != phase {
-				violations.Add(1)
-			}
-			g.SyncThreads()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if violations.Load() != 0 {
-		t.Fatalf("%d barrier visibility violations", violations.Load())
-	}
-}
-
-func TestPipelineLongCopies(t *testing.T) {
-	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	// Copy-bound pipeline: kernels are free, makespan is the copy-engine
-	// serialisation of all H2D + D2H work.
-	slices := []PipelineStage{
-		{H2D: ms(5), Kernel: ms(1), D2H: ms(5)},
-		{H2D: ms(5), Kernel: ms(1), D2H: ms(5)},
-	}
-	got := PipelineSchedule(slices)
-	if got < ms(20) {
-		t.Fatalf("copy-bound pipeline %v under the copy-engine floor 20ms", got)
-	}
-	if got > ms(22) {
-		t.Fatalf("copy-bound pipeline %v too pessimistic", got)
 	}
 }
 

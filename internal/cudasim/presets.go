@@ -31,7 +31,7 @@ func TeslaC1060() *Device {
 }
 
 // Clone returns a copy of the device that can be mutated independently
-// (multi-GPU runs give each simulated GPU its own descriptor).
+// (a supervised device pool gives each simulated GPU its own descriptor).
 func (d *Device) Clone() *Device {
 	c := *d
 	return &c

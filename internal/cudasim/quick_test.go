@@ -3,7 +3,6 @@ package cudasim
 import (
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 // Property tests over the model primitives.
@@ -65,37 +64,3 @@ func TestQuickOccupancyMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestQuickPipelineNeverBeatsCriticalPath(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) > 24 {
-			raw = raw[:24]
-		}
-		var slices []PipelineStage
-		var kernelSum, copySum, seq int64
-		for _, r := range raw {
-			h := int64(r % 97)
-			k := int64(r % 51)
-			d := int64(r % 29)
-			slices = append(slices, PipelineStage{
-				H2D: dur(h), Kernel: dur(k), D2H: dur(d),
-			})
-			kernelSum += k
-			copySum += h + d
-			seq += h + k + d
-		}
-		got := int64(PipelineSchedule(slices) / 1e6)
-		want := SequentialSchedule(slices)
-		// Never faster than either engine's total work, never slower
-		// than fully sequential.
-		if int64(want/1e6) < got {
-			return false
-		}
-		return got >= kernelSum && got >= copySum || len(slices) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func dur(ms int64) time.Duration { return time.Duration(ms) * time.Millisecond }

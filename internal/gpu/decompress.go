@@ -38,6 +38,10 @@ func DecompressInto(dst []byte, container []byte, opts Options) ([]byte, *Report
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
+	if limit := cfg.MaxDecodedByteAligned(h.PayloadLen()); int64(h.OriginalLen) > limit {
+		return nil, nil, fmt.Errorf("gpu: %w: container claims %d bytes, its payload decodes to at most %d",
+			format.ErrCorrupt, h.OriginalLen, limit)
+	}
 	opts.fill(h.Codec)
 	if err := opts.ctxErr(); err != nil {
 		return nil, nil, err

@@ -8,11 +8,10 @@ import (
 )
 
 // This file is the supervised dispatch layer: the bridge between the
-// shard-producing entry points (CompressV1MultiGPU, CompressV1Hybrid,
-// CompressV1Streamed, and core.Writer's segment loop) and the
-// health.Supervisor's device pool. One piece of work (a shard, a slice, a
-// segment) flows through dispatch, parameterized by the Engine that
-// does the encoding:
+// work-producing callers (core.Writer's segment loop and the one-shot
+// core.CompressCodec) and the health.Supervisor's device pool. One piece
+// of work (a segment, a one-shot input) flows through dispatch,
+// parameterized by the Engine that does the encoding:
 //
 //	Acquire a healthy device (preferring the work's home slot for
 //	locality) -> Run the engine's kernel under the watchdog -> on failure
@@ -22,7 +21,7 @@ import (
 //
 // The caller always gets either a valid container or an error that means
 // "the caller cancelled" or "even the CPU could not encode this" — a sick
-// device never surfaces as a shard failure.
+// device never surfaces as a work failure.
 
 // Engine is the minimal compress-engine shape the supervised ladder
 // dispatches over: a device-path entry point and its byte-identical
@@ -34,40 +33,14 @@ type Engine interface {
 	CompressCPU(data []byte, opts Options) ([]byte, error)
 }
 
-// EngineV1 adapts the Version 1 entry points to the Engine shape.
-type EngineV1 struct{}
-
-// Compress runs the V1 kernel.
-func (EngineV1) Compress(data []byte, opts Options) ([]byte, *Report, error) {
-	return CompressV1(data, opts)
-}
-
-// CompressCPU runs V1's bit-identical host twin.
-func (EngineV1) CompressCPU(data []byte, opts Options) ([]byte, error) {
-	return CompressV1CPU(data, opts)
-}
-
-// EngineV2 adapts the Version 2 entry points to the Engine shape.
-type EngineV2 struct{}
-
-// Compress runs the V2 kernel.
-func (EngineV2) Compress(data []byte, opts Options) ([]byte, *Report, error) {
-	return CompressV2(data, opts)
-}
-
-// CompressCPU runs V2's bit-identical host twin.
-func (EngineV2) CompressCPU(data []byte, opts Options) ([]byte, error) {
-	return CompressV2CPU(data, opts)
-}
-
 // dispatchResult is one supervised dispatch outcome.
 type dispatchResult struct {
-	// Container is the shard's container (byte-identical regardless of
+	// Container is the work's container (byte-identical regardless of
 	// which device — or the CPU — produced it).
 	Container []byte
-	// Report is the device report; nil when the shard degraded to the CPU.
+	// Report is the device report; nil when the work degraded to the CPU.
 	Report *Report
-	// Device is the pool slot that produced the shard; -1 for the CPU.
+	// Device is the pool slot that produced the container; -1 for the CPU.
 	Device int
 	// Degraded records a CPU-fallback encode.
 	Degraded bool
@@ -94,23 +67,9 @@ func CompressSupervised(e Engine, data []byte, opts Options, home int, op string
 	return res.Container, res.Report, res.Degraded, err
 }
 
-// CompressV1Supervised is CompressSupervised under the V1 engine — kept
-// as the named entry point the pre-codec callers (multi-GPU, hybrid,
-// streamed schedulers) dispatch through.
-func CompressV1Supervised(data []byte, opts Options, home int, op string) (container []byte, rep *Report, degraded bool, err error) {
-	return CompressSupervised(EngineV1{}, data, opts, home, op)
-}
-
-// CompressV2Supervised is CompressSupervised under the V2 engine: the
-// match-per-thread kernel with redispatch and a degrade tail that lands
-// on CompressV2CPU, V2's own byte-identical twin.
-func CompressV2Supervised(data []byte, opts Options, home int, op string) (container []byte, rep *Report, degraded bool, err error) {
-	return CompressSupervised(EngineV2{}, data, opts, home, op)
-}
-
 // dispatch compresses data with e over sup's device pool. home is the
 // preferred pool slot (locality hint; -1 for round-robin); op names the
-// work in watchdog timeouts ("shard 3", "segment 12"). See the file
+// work in watchdog timeouts ("compress", "segment 12"). See the file
 // comment for the dispatch ladder. The returned error is non-nil only
 // for caller cancellation or a CPU-fallback failure.
 func dispatch(e Engine, sup *health.Supervisor, data []byte, opts Options, home int, op string) (dispatchResult, error) {

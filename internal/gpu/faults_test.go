@@ -126,79 +126,4 @@ func TestContextCancelStopsCompression(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "context canceled") {
 		t.Fatalf("cancelled context not honoured: %v", err)
 	}
-	_, _, err = CompressV1Streamed(datasets.CFiles(8<<10, 5), Options{Context: ctx}, 2)
-	if err == nil || !strings.Contains(err.Error(), "context canceled") {
-		t.Fatalf("streamed: cancelled context not honoured: %v", err)
-	}
-}
-
-// --- multi-GPU error paths ---------------------------------------------
-
-func TestMultiGPUShardFaultNamesDevice(t *testing.T) {
-	// Two shards, launch fails only on the second launch attempt: the
-	// error must be attributed to device 1.
-	inj := faults.New(testSeed(7)).FailEvery(faults.SiteLaunch, 2)
-	input := datasets.CFiles(32<<10, 5)
-	_, _, err := CompressV1MultiGPU(input, Options{ChunkSize: 4096, Injector: inj}, 2)
-	if err == nil {
-		t.Fatal("expected injected shard fault")
-	}
-	if !strings.Contains(err.Error(), "device 1") {
-		t.Fatalf("shard fault not attributed to its device: %v", err)
-	}
-	if !faults.IsInjected(err) {
-		t.Fatalf("not an injected fault: %v", err)
-	}
-}
-
-func TestMultiGPURejectsOversizedConfig(t *testing.T) {
-	cfg := lzss.CULZSSV1()
-	cfg.Window = 512
-	_, _, err := CompressV1MultiGPU(datasets.CFiles(16<<10, 5), Options{Config: cfg}, 2)
-	if err == nil {
-		t.Fatal("oversized config accepted")
-	}
-	if !strings.Contains(err.Error(), "device 0") {
-		t.Fatalf("config error not wrapped with its device: %v", err)
-	}
-}
-
-func TestMultiGPUBadCounts(t *testing.T) {
-	for _, n := range []int{0, -3} {
-		if _, _, err := CompressV1MultiGPU([]byte("x"), Options{}, n); err == nil {
-			t.Fatalf("nGPUs=%d accepted", n)
-		}
-	}
-}
-
-// --- hybrid error paths -------------------------------------------------
-
-func TestHybridGPUShardFault(t *testing.T) {
-	inj := faults.New(testSeed(7)).Always(faults.SiteLaunch)
-	_, _, err := CompressV1Hybrid(datasets.CFiles(32<<10, 5), Options{Injector: inj}, 0.25)
-	if err == nil {
-		t.Fatal("expected injected fault from the hybrid GPU shard")
-	}
-	if !faults.IsInjected(err) {
-		t.Fatalf("not an injected fault: %v", err)
-	}
-}
-
-func TestHybridBadFractions(t *testing.T) {
-	for _, f := range []float64{1.01, 2} {
-		if _, _, err := CompressV1Hybrid([]byte("x"), Options{}, f); err == nil {
-			t.Fatalf("cpuFraction=%v accepted", f)
-		}
-	}
-}
-
-func TestHybridOversizedConfig(t *testing.T) {
-	cfg := lzss.CULZSSV1()
-	cfg.Window = 512
-	// cpuFraction 0: everything goes to the GPU shard, which must reject
-	// the configuration rather than emit a malformed container.
-	_, _, err := CompressV1Hybrid(datasets.CFiles(16<<10, 5), Options{Config: cfg}, 0)
-	if err == nil {
-		t.Fatal("oversized config accepted")
-	}
 }

@@ -132,26 +132,25 @@ type Options struct {
 	// chunk. Production paths leave it nil (zero cost beyond a pointer
 	// test).
 	Injector *faults.Injector
-	// Context, when non-nil, is checked at launch, slice, and shard
-	// boundaries so a stuck or abandoned stream can be cancelled cleanly
-	// (the multi-call entry points CompressV1Streamed / CompressV1MultiGPU
-	// stop between slices; single launches check once up front). It is
-	// also handed to the device's LaunchHook, so a hang injected at the
-	// launch site unwedges when the context is cancelled.
+	// Context, when non-nil, is checked before each launch so a stuck or
+	// abandoned segment can be cancelled cleanly. It is also handed to the
+	// device's LaunchHook, so a hang injected at the launch site unwedges
+	// when the context is cancelled, and the supervised ladder
+	// (CompressSupervised) replaces it per attempt with the watchdog's
+	// deadline context.
 	Context context.Context
-	// Health, when non-nil, arms the resilient dispatch paths: the
-	// multi-GPU and streamed entry points route shards over the
-	// supervisor's device pool through per-device circuit breakers and the
-	// watchdog, re-dispatching failed shards to sibling devices and
-	// degrading to the byte-identical CompressV1CPU encoder when the whole
-	// pool is quarantined. Nil keeps the legacy fail-fast dispatch
-	// (first shard error aborts the run, attributed to its device).
+	// Health, when non-nil, arms the resilient dispatch path:
+	// CompressSupervised routes the work over the supervisor's device pool
+	// through per-device circuit breakers and the watchdog, re-dispatching
+	// a failed attempt to a sibling device and degrading to the engine's
+	// byte-identical CPU twin when the whole pool is quarantined. Nil
+	// keeps the plain single-device fail-fast path.
 	Health *health.Supervisor
 	// Obs, when non-nil, mirrors the run into the observability layer:
-	// launch counters and modeled stage histograms per kernel, dispatch
-	// spans (with device id and retry/degrade/timeout annotations) on the
-	// supervised ladder, and shard/slice counters on the multi-GPU,
-	// hybrid, and streamed paths. Nil is inert (the obs contract).
+	// launch counters and modeled stage histograms per kernel, and
+	// dispatch spans (with device id and retry/degrade/timeout
+	// annotations) on the supervised ladder. Nil is inert (the obs
+	// contract).
 	Obs *obs.Registry
 }
 

@@ -33,7 +33,7 @@ func observeReport(reg *obs.Registry, op string, rep *Report) {
 	reg.Tracer().Record(obs.Span{Op: op, Stage: "post-pass", Device: -1, Duration: rep.HostTime})
 }
 
-// observeDispatch wraps dispatchV1's pool walk in a "dispatch" span
+// observeDispatch wraps dispatchPool in a "dispatch" span
 // annotated with the attempt count and the retry/degrade/timeout
 // outcome, and keeps the dispatch counters. res.Device is -1 for a CPU
 // degrade, matching the span convention.

@@ -5,12 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
-	"culzss/internal/cudasim"
 	"culzss/internal/datasets"
 	"culzss/internal/format"
-	"culzss/internal/health"
 	"culzss/internal/lzss"
 )
 
@@ -68,53 +65,5 @@ func TestCompressV2CPUBitIdentical(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestCompressV2SupervisedRedispatchesAndDegrades exercises the generic
-// dispatch ladder under the V2 engine: a dead home device redispatches
-// to the healthy sibling (byte-identical output, no degrade); an
-// all-dead pool degrades to CompressV2CPU, still byte-identical.
-func TestCompressV2SupervisedRedispatchesAndDegrades(t *testing.T) {
-	input := datasets.CFiles(48<<10, 21)
-	want, _, err := CompressV2(input, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sup := health.NewSupervisor([]health.DeviceSlot{
-		{Device: deadDevice()},
-		{Device: cudasim.FermiGTX480()},
-	}, health.Policy{Threshold: 1, OpenFor: time.Hour})
-	got, rep, degraded, err := CompressV2Supervised(input, Options{Health: sup}, 0, "v2 work")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if degraded {
-		t.Fatal("healthy sibling available, yet the work degraded")
-	}
-	if rep == nil {
-		t.Fatal("device-path success returned a nil report")
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("redispatched container differs from healthy single-device output")
-	}
-	if snap := sup.Snapshot(); snap.Redispatched == 0 {
-		t.Fatalf("no redispatch recorded: %+v", snap)
-	}
-
-	allDead := health.NewSupervisor([]health.DeviceSlot{
-		{Device: deadDevice()},
-		{Device: deadDevice()},
-	}, health.Policy{Threshold: 1, OpenFor: time.Hour})
-	got, rep, degraded, err = CompressV2Supervised(input, Options{Health: allDead}, -1, "v2 work")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !degraded || rep != nil {
-		t.Fatalf("all-dead pool: degraded=%v rep=%v, want CPU degrade", degraded, rep)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("degraded container differs from device output — the twin is not bit-identical")
 	}
 }

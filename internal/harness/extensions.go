@@ -4,125 +4,29 @@ import (
 	"fmt"
 	"time"
 
-	"culzss/internal/core"
+	"culzss/internal/codec"
 	"culzss/internal/cudasim"
 	"culzss/internal/datasets"
+	"culzss/internal/format"
 	"culzss/internal/gpu"
 	"culzss/internal/lzss"
 	"culzss/internal/stats"
 )
 
-// The §VII future-work experiments: each is implemented in internal/gpu
-// and evaluated here as an extension table.
+// The paper's §V/§VII future-work experiments, evaluated as extension
+// tables.
 
-// ExtensionStreams evaluates the Fermi copy/execute pipelining (§VII:
-// "The concurrent execution and streaming feature of new Fermi GPUs can
-// be used to process those chunks").
-func ExtensionStreams(cfg Config) (*Table, error) {
-	cfg.fill()
-	data := datasets.CFiles(cfg.Size, cfg.Seed)
-	t := &Table{
-		Title:   "Extension — V1 with Fermi copy/execute streams (C files)",
-		Columns: []string{"streams", "simulated total", "vs 1 stream"},
-		Notes:   []string{"§VII: overlapping H2D/kernel/D2H across stream slices."},
-	}
-	var base time.Duration
-	for _, streams := range []int{1, 2, 4, 8} {
-		_, rep, err := gpu.CompressV1Streamed(data, gpu.Options{}, streams)
-		if err != nil {
-			return nil, err
-		}
-		total := rep.SimulatedTotal()
-		if streams == 1 {
-			base = total
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", streams),
-			total.Round(time.Microsecond).String(),
-			fmt.Sprintf("%.2fx", float64(total)/float64(base)),
-		})
-	}
-	return t, nil
-}
-
-// ExtensionMultiGPU evaluates the multi-device split (§VII: the paper's
-// own attempt saw no gains and suspected thread overhead; the model shows
-// where the crossover sits).
-func ExtensionMultiGPU(cfg Config) (*Table, error) {
-	cfg.fill()
-	t := &Table{
-		Title:   "Extension — V1 across multiple simulated GPUs",
-		Columns: []string{"dataset", "GPUs", "simulated total", "kernel span", "bus", "dispatch"},
-		Notes: []string{
-			"§VII: the paper's multi-GPU attempt showed no gains (suspected thread",
-			"overhead); the model reproduces the loss when kernels are cheap and the",
-			"shared PCIe bus plus per-device dispatch dominate.",
-		},
-	}
-	for _, key := range []string{"cfiles", "highcomp"} {
-		ds, _ := datasets.ByKey(key)
-		data := ds.Gen(cfg.Size, cfg.Seed)
-		for _, n := range []int{1, 2, 4} {
-			_, rep, err := gpu.CompressV1MultiGPU(data, gpu.Options{}, n)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, []string{
-				ds.Name,
-				fmt.Sprintf("%d", n),
-				rep.SimulatedTotal().Round(time.Microsecond).String(),
-				rep.KernelSpan.Round(time.Microsecond).String(),
-				rep.BusTime.Round(time.Microsecond).String(),
-				rep.DriverOverhead.String(),
-			})
-		}
-	}
-	return t, nil
-}
-
-// ExtensionHybrid evaluates the heterogeneous CPU+GPU split (§VII: "a
-// combined CPU and GPU heterogeneous implementation can give benefits").
-func ExtensionHybrid(cfg Config) (*Table, error) {
-	cfg.fill()
-	data := datasets.CFiles(cfg.Size, cfg.Seed)
-	t := &Table{
-		Title:   "Extension — heterogeneous CPU+GPU V1 (C files)",
-		Columns: []string{"cpu share", "overlapped total", "cpu time", "gpu simulated"},
-		Notes:   []string{"§VII: chunks split between host workers and the GPU, processed concurrently."},
-	}
-	for _, frac := range []float64{0, 0.25, 0.5, -1} {
-		_, rep, err := gpu.CompressV1Hybrid(data, gpu.Options{}, frac)
-		if err != nil {
-			return nil, err
-		}
-		label := fmt.Sprintf("%.0f%%", rep.CPUFraction*100)
-		if frac < 0 {
-			label = fmt.Sprintf("auto (%.0f%%)", rep.CPUFraction*100)
-		}
-		gpuTotal := time.Duration(0)
-		if rep.GPU != nil {
-			gpuTotal = rep.GPU.SimulatedTotal()
-		}
-		t.Rows = append(t.Rows, []string{
-			label,
-			rep.SimulatedTotal().Round(time.Microsecond).String(),
-			rep.CPUTime.Round(time.Microsecond).String(),
-			gpuTotal.Round(time.Microsecond).String(),
-		})
-	}
-	return t, nil
-}
-
-// ExtensionAutoSelection evaluates the VersionAuto heuristic against
-// always-V1 and always-V2 across the datasets (§V: "This feature gives
-// the ability to use the best matching implementation"). An oracle column
-// shows what a perfect per-dataset choice would cost.
+// ExtensionAutoSelection evaluates the adaptive selector (codec.Auto)
+// against always-V1 and always-V2 across the datasets (§V: "This feature
+// gives the ability to use the best matching implementation"). An oracle
+// column shows what a perfect per-dataset choice would cost. A raw-store
+// pick launches no kernel, so its auto cell shows "-".
 func ExtensionAutoSelection(cfg Config) (*Table, error) {
 	cfg.fill()
 	t := &Table{
 		Title:   "Extension — automatic version selection (§V)",
 		Columns: []string{"dataset", "V1 sat", "V2 sat", "auto picks", "auto sat", "oracle"},
-		Notes:   []string{"Saturated simulated totals; 'auto picks' is the sampled heuristic of core.SelectVersion."},
+		Notes:   []string{"Saturated simulated totals; 'auto picks' is the sample probe of codec.SelectCodec."},
 	}
 	for _, ds := range datasets.All() {
 		data := ds.Gen(cfg.Size, cfg.Seed)
@@ -134,9 +38,14 @@ func ExtensionAutoSelection(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pick, picked := "V2", r2
-		if core.SelectVersion(data) == core.Version1 {
-			pick, picked = "V1", r1
+		var pick, autoCell string
+		switch codec.SelectCodec(data) {
+		case format.CodecCULZSSV1:
+			pick, autoCell = "V1", r1.SaturatedTotal().Round(time.Microsecond).String()
+		case format.CodecCULZSSV2:
+			pick, autoCell = "V2", r2.SaturatedTotal().Round(time.Microsecond).String()
+		default:
+			pick, autoCell = "raw", "-"
 		}
 		oracle := r1
 		if r2.SaturatedTotal() < r1.SaturatedTotal() {
@@ -147,45 +56,8 @@ func ExtensionAutoSelection(cfg Config) (*Table, error) {
 			r1.SaturatedTotal().Round(time.Microsecond).String(),
 			r2.SaturatedTotal().Round(time.Microsecond).String(),
 			pick,
-			picked.SaturatedTotal().Round(time.Microsecond).String(),
+			autoCell,
 			oracle.SaturatedTotal().Round(time.Microsecond).String(),
-		})
-	}
-	return t, nil
-}
-
-// ExtensionGPUPostPass evaluates the §VII port of V2's serial host
-// post-pass to a GPU pointer-doubling selection kernel: host time shrinks
-// to pure serialisation at the cost of O(n log n) extra (but perfectly
-// parallel) kernel work.
-func ExtensionGPUPostPass(cfg Config) (*Table, error) {
-	cfg.fill()
-	t := &Table{
-		Title:   "Extension — V2 token selection on GPU vs host (§VII)",
-		Columns: []string{"dataset", "host post: total", "host time", "gpu post: total", "host time"},
-		Notes: []string{
-			"Saturated simulated totals; identical output containers.",
-			"The GPU selection adds log(n) pointer-doubling rounds to the kernel",
-			"and shrinks the D2H copy to the selected tokens.",
-		},
-	}
-	for _, key := range []string{"cfiles", "highcomp"} {
-		ds, _ := datasets.ByKey(key)
-		data := ds.Gen(cfg.Size, cfg.Seed)
-		_, host, err := gpu.CompressV2(data, gpu.Options{})
-		if err != nil {
-			return nil, err
-		}
-		_, gp, err := gpu.CompressV2GPUPost(data, gpu.Options{})
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			ds.Name,
-			host.SaturatedTotal().Round(time.Microsecond).String(),
-			host.HostTime.Round(time.Microsecond).String(),
-			gp.SaturatedTotal().Round(time.Microsecond).String(),
-			gp.HostTime.Round(time.Microsecond).String(),
 		})
 	}
 	return t, nil

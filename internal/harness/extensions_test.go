@@ -6,52 +6,6 @@ import (
 	"testing"
 )
 
-func TestExtensionStreams(t *testing.T) {
-	tab, err := ExtensionStreams(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	if tab.Rows[0][0] != "1" || tab.Rows[0][2] != "1.00x" {
-		t.Fatalf("baseline row wrong: %v", tab.Rows[0])
-	}
-	if !strings.Contains(tab.Render(), "streams") {
-		t.Fatal("render missing header")
-	}
-}
-
-func TestExtensionMultiGPU(t *testing.T) {
-	tab, err := ExtensionMultiGPU(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two datasets x three device counts.
-	if len(tab.Rows) != 6 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	out := tab.Render()
-	for _, want := range []string{"C files", "Highly Compr.", "dispatch"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q", want)
-		}
-	}
-}
-
-func TestExtensionHybrid(t *testing.T) {
-	tab, err := ExtensionHybrid(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 4 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	if !strings.Contains(tab.Rows[3][0], "auto") {
-		t.Fatalf("last row should be the auto split: %v", tab.Rows[3])
-	}
-}
-
 func TestExtensionAutoSelection(t *testing.T) {
 	tab, err := ExtensionAutoSelection(testConfig())
 	if err != nil {
@@ -73,19 +27,6 @@ func TestExtensionAutoSelection(t *testing.T) {
 	}
 	if picks["Dictionary"] != "V2" {
 		t.Errorf("auto picked %s for Dictionary, want V2", picks["Dictionary"])
-	}
-}
-
-func TestExtensionGPUPostPass(t *testing.T) {
-	tab, err := ExtensionGPUPostPass(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	if !strings.Contains(tab.Render(), "pointer-doubling") {
-		t.Fatal("render missing note")
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package health is the device-pool supervisor behind the resilient
-// multi-GPU and streaming paths: per-device circuit breakers, a watchdog
+// supervised dispatch path (gpu.CompressSupervised, which the streaming
+// Writer and the one-shot API ride): per-device circuit breakers, a watchdog
 // that bounds every guarded operation with a deadline, and quarantine
 // with periodic half-open re-probe so a recovered device rejoins the
 // pool.
 //
-// PR 2's retry/degrade machinery treats *segments* as the unit of
+// The Writer's retry/degrade machinery treats *segments* as the unit of
 // failure isolation: an op that fails is retried and eventually
 // re-encoded on the host. That is the wrong granularity for a sick
 // *device* — a GPU whose every launch fails (or hangs) makes every
@@ -29,7 +30,7 @@
 //
 // The supervisor also keeps a logbook of breaker transitions and a set
 // of fleet counters (timeouts, breaker opens, redispatches) that
-// gpu.MultiGPUReport and core.WriterStats surface. All methods are safe
+// Snapshot and core.WriterStats surface. All methods are safe
 // for concurrent use. A nil *Supervisor is inert where the gpu layer
 // consults it, so production paths that never arm one pay a pointer
 // test.
