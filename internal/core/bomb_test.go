@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
+	"strings"
 	"testing"
 
 	"culzss/internal/format"
@@ -82,6 +84,64 @@ func TestDecodedBoundAdmitsRunRemainders(t *testing.T) {
 			if !bytes.Equal(got, data) {
 				t.Fatalf("%s/%d: round trip differs", name, n)
 			}
+		}
+	}
+}
+
+// forgedFrameStream is a one-segment stream whose frame claims 10 bytes of
+// plaintext and passes its CRC, but carries a bit-packed container whose
+// header claims 2^36 bytes behind a 2^40 lookahead: the bit-packed bomb
+// bound scales with that lookahead, so only the frame's RawLen exposes it.
+func forgedFrameStream(c format.Codec) []byte {
+	const claimed = 1 << 36
+	h := &format.Header{
+		Codec:       c,
+		MinMatch:    3,
+		Window:      4096,
+		Lookahead:   1 << 40,
+		ChunkSize:   claimed,
+		OriginalLen: claimed,
+		ChunkSizes:  []int{2},
+	}
+	container := append(format.AppendHeader(nil, h), 0x00, 'x')
+	stream := format.AppendStreamHeader(nil, DefaultSegmentSize)
+	stream = format.AppendSegmentFrame(stream, 0, 10, container)
+	return format.AppendStreamTrailer(stream, &format.StreamTrailer{Segments: 1, TotalLen: 10})
+}
+
+// TestFramedBombRefused: both readers refuse a container whose length
+// claim disagrees with its frame's RawLen before decoding it — strict
+// mode names the segment, salvage records it as damage — and neither
+// allocates anywhere near the claim.
+func TestFramedBombRefused(t *testing.T) {
+	for name, c := range map[string]format.Codec{"cpu": format.CodecSerialBitPacked, "pthread": format.CodecChunkedBitPacked} {
+		stream := forgedFrameStream(c)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+
+		r, err := NewReader(bytes.NewReader(stream), Params{})
+		if err != nil {
+			t.Fatalf("%s: NewReader: %v", name, err)
+		}
+		if _, err := io.ReadAll(r); !errors.Is(err, format.ErrCorrupt) || !strings.Contains(err.Error(), "segment 0") {
+			t.Errorf("%s: strict Reader: err = %v, want format.ErrCorrupt for segment 0", name, err)
+		}
+
+		r, err = NewReaderOptions(bytes.NewReader(stream), Params{}, ReaderOptions{Salvage: true})
+		if err != nil {
+			t.Fatalf("%s: salvage NewReader: %v", name, err)
+		}
+		got, err := io.ReadAll(r)
+		if err != nil || len(got) != 0 {
+			t.Fatalf("%s: salvage Reader: %d bytes, err %v", name, len(got), err)
+		}
+		if cs := r.CorruptSegments(); len(cs) != 1 || cs[0].Index != 0 || !errors.Is(cs[0], format.ErrCorrupt) {
+			t.Errorf("%s: salvage recorded %v, want one ErrCorrupt region at segment 0", name, cs)
+		}
+
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > 64<<20 {
+			t.Errorf("%s: readers allocated %d bytes refusing the frame", name, d)
 		}
 	}
 }

@@ -142,7 +142,7 @@ func Decompress(container []byte, p Params) ([]byte, error) {
 // DecompressWithReport additionally returns the GPU report for GPU-coded
 // containers (nil otherwise).
 func DecompressWithReport(container []byte, p Params) ([]byte, *gpu.Report, error) {
-	return decompressInto(nil, container, p, nil, p.HostWorkers)
+	return decompressInto(nil, container, p, nil, p.HostWorkers, -1)
 }
 
 // decompressInto is the decode core shared by Decompress and the
@@ -151,10 +151,16 @@ func DecompressWithReport(container []byte, p Params) ([]byte, *gpu.Report, erro
 // their own), an explicit host-worker bound, and a cancellation context
 // threaded through to the simulated device. A nil ctx means no
 // cancellation; workers <= 0 means GOMAXPROCS (the gpu layer's default).
-func decompressInto(dst, container []byte, p Params, ctx context.Context, workers int) ([]byte, *gpu.Report, error) {
+// A container whose header claims other than want plaintext bytes (a
+// frame's RawLen; -1 when unknown) is refused before its codec sizes an
+// output buffer from the claim.
+func decompressInto(dst, container []byte, p Params, ctx context.Context, workers, want int) ([]byte, *gpu.Report, error) {
 	h, _, err := format.ParseHeader(container)
 	if err != nil {
 		return nil, nil, err
+	}
+	if want >= 0 && h.OriginalLen != want {
+		return nil, nil, fmt.Errorf("%w: container claims %d plaintext bytes, frame claims %d", format.ErrCorrupt, h.OriginalLen, want)
 	}
 	eng, ok := codec.Lookup(h.Codec)
 	if !ok {

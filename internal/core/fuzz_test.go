@@ -1,10 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
+	"culzss/internal/datasets"
 	"culzss/internal/format"
+	"culzss/internal/gpu"
 )
 
 // TestDecompressNeverPanicsOnRandomContainers drives the public entry
@@ -75,5 +79,48 @@ func FuzzDecompress(f *testing.F) {
 	f.Add([]byte(format.Magic))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = Decompress(data, Params{})
+	})
+}
+
+// FuzzStreamReader drives the framed Reader over arbitrary bytes on a
+// two-worker pipeline, strict and with salvage+repair (run with
+// `go test -fuzz=FuzzStreamReader ./internal/core`). Invariants: no
+// panic, the reader terminates, and it never delivers more plaintext
+// than the frames it accepted claim.
+func FuzzStreamReader(f *testing.F) {
+	text := datasets.CFiles(24<<10, 3)
+	for _, o := range []StreamOptions{
+		{Codec: "v1", SegmentSize: 8 << 10},
+		{Codec: "cpu", SegmentSize: 8 << 10, Parity: ParityConfig{K: 4, M: 2}},
+	} {
+		var buf bytes.Buffer
+		w := NewWriterOptions(&buf, Params{HostWorkers: 2}, o)
+		if _, err := w.Write(text); err != nil {
+			f.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(forgedFrameStream(format.CodecSerialBitPacked))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if !bytes.HasPrefix(data, []byte(format.StreamMagic)) {
+			return // bare containers are FuzzDecompress's
+		}
+		for _, o := range []ReaderOptions{{}, {Salvage: true, Repair: true}} {
+			accepted := 0
+			o.HostWorkers = 2
+			o.OnSegment = func(_, rawLen int, _ *gpu.Report) { accepted += rawLen }
+			r, err := NewReaderOptions(bytes.NewReader(data), Params{}, o)
+			if err != nil {
+				continue
+			}
+			n, _ := io.Copy(io.Discard, r)
+			r.Close()
+			if n > int64(accepted) {
+				t.Fatalf("repair=%v: delivered %d bytes, accepted frames claim %d", o.Repair, n, accepted)
+			}
+		}
 	})
 }

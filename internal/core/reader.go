@@ -360,7 +360,7 @@ func (r *Reader) decodeOne(ev *readEvent) {
 		sp = r.met.tracer.Start(fmt.Sprintf("segment %d", ev.frame.Index), "decode")
 	}
 	leased := r.plainPool.get(ev.frame.RawLen)
-	plain, rep, err := decompressInto(leased, ev.frame.Container, r.params, r.pctx, r.inner)
+	plain, rep, err := decompressInto(leased, ev.frame.Container, r.params, r.pctx, r.inner, ev.frame.RawLen)
 	sp.End(err)
 	r.contPool.put(ev.frame.Container)
 	ev.frame.Container = nil
@@ -372,8 +372,8 @@ func (r *Reader) decodeOne(ev *readEvent) {
 	if aliases(plain, leased) {
 		ev.buf = leased
 	} else {
-		// The codec allocated its own output (CPU paths, or a container
-		// whose header asked for more than the lease); recycle the lease.
+		// The codec allocated its own output (CPU paths); recycle the
+		// lease.
 		r.plainPool.put(leased)
 	}
 	ev.plain = plain

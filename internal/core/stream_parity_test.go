@@ -39,28 +39,31 @@ type streamRec struct {
 	parity     bool
 }
 
-// streamRecords maps a stream's record boundaries using the write-side
-// BoundaryScanner (header and trailer excluded).
+// streamRecords maps a stream's record extents with the strict reader's
+// Offset (header and trailer excluded).
 func streamRecords(t *testing.T, stream []byte) []streamRec {
 	t.Helper()
-	s := format.NewBoundaryScanner()
+	fr, err := format.NewFrameReader(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var recs []streamRec
-	prevGood, prevSeg, prevPar := 0, 0, 0
-	for i := range stream {
-		if _, err := s.Write(stream[i : i+1]); err != nil {
+	prev := int(fr.Offset())
+	fr.OnParity = func(*format.ParityFrame) {
+		recs = append(recs, streamRec{prev, int(fr.Offset()), true})
+		prev = int(fr.Offset())
+	}
+	for {
+		_, trailer, err := fr.Next()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if good := int(s.GoodOffset()); good != prevGood {
-			switch {
-			case s.Records() != prevSeg:
-				recs = append(recs, streamRec{prevGood, good, false})
-			case s.ParityRecords() != prevPar:
-				recs = append(recs, streamRec{prevGood, good, true})
-			}
-			prevGood, prevSeg, prevPar = good, s.Records(), s.ParityRecords()
+		if trailer != nil {
+			return recs
 		}
+		recs = append(recs, streamRec{prev, int(fr.Offset()), false})
+		prev = int(fr.Offset())
 	}
-	return recs
 }
 
 // smashRec flips interior bytes of one record in a copy of the stream.

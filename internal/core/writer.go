@@ -45,6 +45,11 @@ type segResult struct {
 // HostWorkers segments are already in flight, which is what bounds peak
 // memory.
 //
+// The Writer issues exactly one dst.Write per record: the stream header,
+// each segment frame, each parity frame and the trailer. A destination
+// may rely on that — the durable layer parses every call as one whole
+// record to place its commit points.
+//
 // Close flushes the final partial segment, writes the stream trailer, and
 // tears the worker pool down. A second Close is a no-op returning nil
 // (matching gzip.Writer); Write after Close returns ErrClosed.

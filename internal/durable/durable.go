@@ -27,6 +27,7 @@
 package durable
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -88,7 +89,7 @@ func Create(path string, p core.Params, o Options) (*Writer, error) {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
 	o.Stream.Resume = nil
-	cw := newCommitWriter(f, p, o, format.NewBoundaryScanner())
+	cw := newCommitWriter(f, p, o, 0, 0)
 	return &Writer{w: core.NewWriterOptions(cw, p, o.Stream), cw: cw, path: path}, nil
 }
 
@@ -161,40 +162,45 @@ func newDurableMetrics(reg *obs.Registry) durableMetrics {
 	}
 }
 
-// commitWriter sits between the core.Writer and the file: it tracks
-// frame boundaries in the byte flow (BoundaryScanner), fsyncs on the
-// commit cadence, and records what has provably reached stable storage.
+// commitWriter sits between the core.Writer and the file: the Writer
+// issues exactly one Write per record, so commitWriter parses each call's
+// bytes as one whole record (the stream header first), checks that it
+// continues the stream, fsyncs on the commit cadence, and records what
+// has provably reached stable storage.
 type commitWriter struct {
-	f    *os.File
-	out  io.Writer // f, possibly behind the injector's write-fault wrapper
-	scan *format.BoundaryScanner
-	inj  *faults.Injector
-	met  durableMetrics
+	f   *os.File
+	out io.Writer // f, possibly behind the injector's write-fault wrapper
+	inj *faults.Injector
+	met durableMetrics
 
 	commitSegs  int
 	commitBytes int64
 
 	mu            sync.Mutex
+	good          int64 // offset just past the last whole record written; 0 = header next
+	records       int   // segment frames written
+	trailer       bool  // the trailer is written: nothing may follow
+	bug           error // sticky framing violation
 	committedSegs int   // frames known fsynced
 	committedOff  int64 // file offset known fsynced (a frame boundary)
 }
 
-func newCommitWriter(f *os.File, p core.Params, o Options, scan *format.BoundaryScanner) *commitWriter {
+// newCommitWriter returns a commitWriter appending at the record boundary
+// off, after records segment frames; off 0 means a fresh stream, which
+// starts with its header.
+func newCommitWriter(f *os.File, p core.Params, o Options, off int64, records int) *commitWriter {
 	return &commitWriter{
-		f:           f,
-		out:         p.Injector.WrapWriter(f),
-		scan:        scan,
-		inj:         p.Injector,
-		met:         newDurableMetrics(p.Obs),
-		commitSegs:  o.commitSegments(),
-		commitBytes: o.CommitEveryBytes,
+		f:             f,
+		out:           p.Injector.WrapWriter(f),
+		inj:           p.Injector,
+		met:           newDurableMetrics(p.Obs),
+		commitSegs:    o.commitSegments(),
+		commitBytes:   o.CommitEveryBytes,
+		good:          off,
+		records:       records,
+		committedSegs: records,
+		committedOff:  off,
 	}
-}
-
-// seed marks an already-on-disk prefix as committed (Resume's verified
-// boundary).
-func (cw *commitWriter) seed(off int64, segs int) {
-	cw.committedSegs, cw.committedOff = segs, off
 }
 
 func (cw *commitWriter) committedSegments() int {
@@ -203,31 +209,76 @@ func (cw *commitWriter) committedSegments() int {
 	return cw.committedSegs
 }
 
-// Write forwards one record's bytes to the file, advances the boundary
-// scanner over the bytes that actually landed, and commits when the
-// cadence says so. The core.Writer serialises record writes, but the
-// mutex also covers Stats readers.
+// Write checks that p is the stream's next whole record, forwards it to
+// the file, and commits when the cadence says so. A record that breaks
+// the stream is not written, and every later Write fails with the same
+// error. A torn write (n < len(p)) leaves no new record boundary, so the
+// good offset stays where it was. The core.Writer serialises record
+// writes, but the mutex also covers Stats readers.
 func (cw *commitWriter) Write(p []byte) (int, error) {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	n, werr := cw.out.Write(p)
-	if n > 0 {
-		// Track only landed bytes: after a torn write the scanner's
-		// GoodOffset is the last boundary that is really on disk.
-		if _, serr := cw.scan.Write(p[:n]); serr != nil && werr == nil {
-			werr = fmt.Errorf("durable: framing bug: %w", serr)
-		}
+	if cw.bug != nil {
+		return 0, cw.bug
 	}
-	if werr != nil {
-		return n, werr
+	seg, trailer, err := cw.check(p)
+	if err != nil {
+		cw.bug = fmt.Errorf("durable: framing bug: %w", err)
+		return 0, cw.bug
 	}
-	if cw.scan.Records()-cw.committedSegs >= cw.commitSegs ||
-		(cw.commitBytes > 0 && cw.scan.GoodOffset()-cw.committedOff >= cw.commitBytes) {
+	n, err := cw.out.Write(p)
+	if err != nil {
+		return n, err
+	}
+	cw.good += int64(n)
+	if seg {
+		cw.records++
+	}
+	cw.trailer = trailer
+	if cw.records-cw.committedSegs >= cw.commitSegs ||
+		(cw.commitBytes > 0 && cw.good-cw.committedOff >= cw.commitBytes) {
 		if err := cw.commitLocked(); err != nil {
 			return n, err
 		}
 	}
 	return n, nil
+}
+
+// check parses p as exactly one record continuing the stream written so
+// far, and reports whether it is a segment frame or the trailer.
+func (cw *commitWriter) check(p []byte) (seg, trailer bool, err error) {
+	if cw.trailer {
+		return false, false, fmt.Errorf("%w: %d byte(s) after the stream trailer", format.ErrCorrupt, len(p))
+	}
+	var n int64
+	if cw.good == 0 {
+		fr, err := format.NewFrameReader(bytes.NewReader(p))
+		if err != nil {
+			return false, false, err
+		}
+		n = fr.Offset()
+	} else {
+		sf, tr, pf, rn, err := format.ParseRecord(p)
+		if err != nil {
+			return false, false, err
+		}
+		switch {
+		case sf != nil && sf.Index != cw.records:
+			return false, false, fmt.Errorf("%w: emitting segment %d, want %d", format.ErrFrameOrder, sf.Index, cw.records)
+		case tr != nil && tr.Segments != cw.records:
+			return false, false, fmt.Errorf("%w: trailer counts %d segments, stream carried %d", format.ErrCorrupt, tr.Segments, cw.records)
+		case pf != nil && pf.FirstIndex+pf.K != cw.records:
+			// The writer emits parity right after its group's last data
+			// frame.
+			return false, false, fmt.Errorf("%w: emitting parity for [%d,%d), stream carries %d segments",
+				format.ErrFrameOrder, pf.FirstIndex, pf.FirstIndex+pf.K, cw.records)
+		}
+		n, seg, trailer = int64(rn), sf != nil, tr != nil
+	}
+	if n != int64(len(p)) {
+		return false, false, fmt.Errorf("%w: one write carries %d bytes, its record %d", format.ErrCorrupt, len(p), n)
+	}
+	return seg, trailer, nil
 }
 
 // commitLocked fsyncs and advances the committed watermark. The fsync
@@ -243,9 +294,9 @@ func (cw *commitWriter) commitLocked() error {
 	}
 	cw.met.commitSeconds.Observe(time.Since(start).Seconds())
 	cw.met.commits.Inc()
-	cw.met.commitBytes.Add(cw.scan.GoodOffset() - cw.committedOff)
-	cw.committedSegs = cw.scan.Records()
-	cw.committedOff = cw.scan.GoodOffset()
+	cw.met.commitBytes.Add(cw.good - cw.committedOff)
+	cw.committedSegs = cw.records
+	cw.committedOff = cw.good
 	return nil
 }
 

@@ -3,9 +3,11 @@ package durable
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"culzss/internal/core"
@@ -33,20 +35,26 @@ func refStream(t *testing.T, input []byte, p core.Params, segSize int) []byte {
 }
 
 // boundaries returns the record-boundary offsets of a framed stream:
-// just past the header, past each segment frame, and past the trailer.
+// just past the header, past each segment and parity frame, and past the
+// trailer.
 func boundaries(t *testing.T, stream []byte) []int64 {
 	t.Helper()
-	s := format.NewBoundaryScanner()
-	var bounds []int64
-	for i := range stream {
-		if _, err := s.Write(stream[i : i+1]); err != nil {
-			t.Fatalf("byte %d: %v", i, err)
+	fr, err := format.NewFrameReader(bytes.NewReader(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := []int64{fr.Offset()}
+	fr.OnParity = func(*format.ParityFrame) { bounds = append(bounds, fr.Offset()) }
+	for {
+		_, trailer, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if n := int64(i + 1); s.GoodOffset() == n {
-			bounds = append(bounds, n)
+		bounds = append(bounds, fr.Offset())
+		if trailer != nil {
+			return bounds
 		}
 	}
-	return bounds
 }
 
 func decodeFile(t *testing.T, path string, p core.Params) []byte {
@@ -284,6 +292,33 @@ func TestScanTailRejectsForeignFiles(t *testing.T) {
 	p := core.Params{}
 	if _, err := ScanTail(bytes.NewReader([]byte("not a clzs stream at all")), p); err == nil {
 		t.Fatal("ScanTail accepted a foreign file")
+	}
+}
+
+// TestScanTailRefusesForgedContainerLength: a frame that passes its CRC
+// but carries a container claiming 2^36 plaintext bytes (behind a 2^40
+// lookahead, which lifts the bit-packed bomb bound) for a 10-byte frame
+// ends the verified prefix before anything decodes it.
+func TestScanTailRefusesForgedContainerLength(t *testing.T) {
+	h := &format.Header{Codec: format.CodecSerialBitPacked, MinMatch: 3, Window: 4096, Lookahead: 1 << 40,
+		ChunkSize: 1 << 36, OriginalLen: 1 << 36, ChunkSizes: []int{2}}
+	stream := format.AppendStreamHeader(nil, 1<<20)
+	headerLen := int64(len(stream))
+	stream = format.AppendSegmentFrame(stream, 0, 10, append(format.AppendHeader(nil, h), 0x00, 'x'))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := ScanTail(bytes.NewReader(stream), core.Params{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(rep.Cause, format.ErrCorrupt) || rep.NextIndex != 0 || rep.LastGoodOffset != headerLen {
+		t.Fatalf("report = {Cause: %v, NextIndex: %d, LastGoodOffset: %d}, want ErrCorrupt at segment 0, offset %d",
+			rep.Cause, rep.NextIndex, rep.LastGoodOffset, headerLen)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<20 {
+		t.Fatalf("ScanTail allocated %d bytes refusing the frame", d)
 	}
 }
 

@@ -34,10 +34,17 @@
 // same going in as coming out" guarantee (§III). The trailer marker reuses
 // the frame-marker byte position, so a reader distinguishes "next segment"
 // from "end of stream" with a single byte read.
+//
+// One parser reads this grammar: ParseRecord decodes a single segment,
+// parity or trailer record from a byte slice and checks everything that
+// needs no stream context (marker, varint bound, length caps, parity
+// geometry, frame or shard CRC). The FrameReader runs it over a sliding
+// window of its input in every mode — strict, salvage and repair add only
+// their context rules (index order, trailer counts, resynchronisation) —
+// and the durable writer runs it over each record it commits.
 package format
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -134,17 +141,11 @@ func WriteStreamTrailer(w io.Writer, t *StreamTrailer) (int, error) {
 	return w.Write(AppendStreamTrailer(make([]byte, 0, 16), t))
 }
 
-// frameByteReader is the reader the frame decoder needs: stream reads for
-// container payloads plus single-byte reads for markers and varints.
-type frameByteReader interface {
-	io.Reader
-	io.ByteReader
-}
-
 // FrameReader decodes a framed stream incrementally: one Next call per
-// record, holding at most one segment's container in memory.
+// record, holding at most one record (plus one read of look-ahead) in
+// memory. Every mode reads its input through the same window and parses
+// it with ParseRecord.
 type FrameReader struct {
-	r frameByteReader
 	// SegmentSize is the advisory nominal segment size from the stream
 	// header.
 	SegmentSize int
@@ -156,7 +157,8 @@ type FrameReader struct {
 
 	// OnParity, when non-nil, observes every intact parity frame as it is
 	// decoded (both modes). Parity frames are otherwise transparent: Next
-	// never returns them.
+	// never returns them. In normal mode the frame's Shard aliases the
+	// reader's input window and is valid only during the call.
 	OnParity func(*ParityFrame)
 	// RepairSink, when non-nil in repair mode, receives the exact encoded
 	// bytes of every frame the repair layer reconstructs, together with
@@ -190,15 +192,18 @@ type FrameReader struct {
 	parityGroupFirst int
 	parityNextJ      int
 
-	// Salvage mode (see salvage.go): reads go through a sliding window so
-	// the decoder can back up and rescan after a damaged record.
+	// The input window: buf holds the unconsumed bytes, a suffix of win's
+	// used part, and its spare capacity is where the next read lands.
+	src     io.Reader
+	win     []byte
+	buf     []byte
+	off     int64 // absolute stream offset of buf[0]
+	eof     bool
+	readErr error
+
+	// Salvage mode (see salvage.go): the decoder can back up and rescan
+	// the window after a damaged record.
 	salvage     bool
-	src         io.Reader
-	buf         []byte // unconsumed window
-	off         int64  // absolute stream offset of buf[0]
-	scratch     []byte // fill() read buffer
-	eof         bool
-	readErr     error
 	corrupted   bool
 	pendFrame   *SegmentFrame
 	pendTrailer *StreamTrailer
@@ -216,40 +221,32 @@ type FrameReader struct {
 // the frames that follow. Inputs not starting with StreamMagic fail with
 // ErrBadStreamMagic.
 func NewFrameReader(r io.Reader) (*FrameReader, error) {
-	br, ok := r.(frameByteReader)
-	if !ok {
-		br = bufio.NewReader(r)
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, ErrTruncated
-		}
-		return nil, err
-	}
-	if string(magic[:]) != StreamMagic {
-		return nil, ErrBadStreamMagic
-	}
-	version, err := br.ReadByte()
-	if err != nil {
-		return nil, eofToTruncated(err)
-	}
-	if version != StreamVersion {
-		return nil, fmt.Errorf("%w: stream version %d", ErrBadVersion, version)
-	}
-	flags, err := br.ReadByte()
-	if err != nil {
-		return nil, eofToTruncated(err)
-	}
-	if flags != 0 {
-		return nil, fmt.Errorf("%w: nonzero stream flags %#x", ErrCorrupt, flags)
-	}
-	segSize, err := readVarint(br)
-	if err != nil {
-		return nil, err
-	}
-	return &FrameReader{r: br, SegmentSize: segSize, parityGroupFirst: -1}, nil
+	return newFrameReader(r, false)
 }
+
+// newFrameReader parses the stream header for either mode. The header
+// itself is never salvaged: nothing after it can be trusted without it.
+func newFrameReader(r io.Reader, salvage bool) (*FrameReader, error) {
+	fr := &FrameReader{src: r, salvage: salvage, parityGroupFirst: -1}
+	for {
+		segSize, n, err := parseStreamHeader(fr.buf)
+		switch {
+		case err == nil:
+			fr.SegmentSize = segSize
+			fr.consume(n)
+			return fr, nil
+		case err != errNeedMore:
+			return nil, err
+		case !fr.ensure(n):
+			return nil, fr.endErr()
+		}
+	}
+}
+
+// Offset reports the absolute stream offset just past the last record
+// Next returned or absorbed (a parity frame, from inside OnParity too);
+// before the first Next it is the stream header's length.
+func (fr *FrameReader) Offset() int64 { return fr.off }
 
 // Next decodes the next record. It returns (frame, nil, nil) for a segment
 // frame, (nil, trailer, nil) at the end-of-stream trailer, and a non-nil
@@ -293,133 +290,57 @@ func (fr *FrameReader) Next() (*SegmentFrame, *StreamTrailer, error) {
 	return frame, trailer, nil
 }
 
+// next is the strict (fail-fast) mode: the record at the window front
+// must parse and continue the stream; parity frames are absorbed.
 func (fr *FrameReader) next() (*SegmentFrame, *StreamTrailer, error) {
 	for {
-		frame, trailer, err := fr.nextRecord()
-		if err != nil || frame != nil || trailer != nil {
-			return frame, trailer, err
+		seg, trailer, pf, n, err := fr.recordAt(0)
+		if err == errNeedMore {
+			// A stream ends only after its trailer.
+			return nil, nil, fr.endErr()
 		}
-		// A parity frame was decoded and absorbed; keep reading.
+		if err != nil {
+			return nil, nil, err
+		}
+		switch {
+		case seg != nil:
+			if seg.Index != fr.nextIndex {
+				return nil, nil, fmt.Errorf("%w: got segment %d, want %d", ErrFrameOrder, seg.Index, fr.nextIndex)
+			}
+			fr.own(seg)
+			fr.consume(n)
+			fr.nextIndex++
+			fr.rawTotal += seg.RawLen
+			return seg, nil, nil
+		case trailer != nil:
+			if err := fr.checkTrailer(trailer); err != nil {
+				return nil, nil, err
+			}
+			fr.consume(n)
+			return nil, trailer, nil
+		default:
+			if err := fr.acceptParity(pf); err != nil {
+				return nil, nil, err
+			}
+			fr.consume(n)
+			fr.noteParity(pf)
+		}
 	}
 }
 
-func (fr *FrameReader) nextRecord() (*SegmentFrame, *StreamTrailer, error) {
-	marker, err := fr.r.ReadByte()
-	if err != nil {
-		// A stream must end with a trailer; EOF here is truncation.
-		return nil, nil, eofToTruncated(err)
+// checkTrailer holds a trailer to the stream it closes.
+func (fr *FrameReader) checkTrailer(t *StreamTrailer) error {
+	if t.Segments != fr.nextIndex {
+		return fmt.Errorf("%w: trailer counts %d segments, stream carried %d", ErrCorrupt, t.Segments, fr.nextIndex)
 	}
-	switch marker {
-	case frameMarkerSegment:
-		index, err := readVarint(fr.r)
-		if err != nil {
-			return nil, nil, err
-		}
-		if index != fr.nextIndex {
-			return nil, nil, fmt.Errorf("%w: got segment %d, want %d", ErrFrameOrder, index, fr.nextIndex)
-		}
-		rawLen, err := readVarint(fr.r)
-		if err != nil {
-			return nil, nil, err
-		}
-		compLen, err := readVarint(fr.r)
-		if err != nil {
-			return nil, nil, err
-		}
-		if rawLen > MaxSegmentLen || compLen > MaxSegmentLen {
-			return nil, nil, fmt.Errorf("%w: implausible segment lengths raw=%d comp=%d", ErrCorrupt, rawLen, compLen)
-		}
-		var crc [4]byte
-		if _, err := io.ReadFull(fr.r, crc[:]); err != nil {
-			return nil, nil, eofToTruncated(err)
-		}
-		container := fr.lease(compLen)
-		if _, err := io.ReadFull(fr.r, container); err != nil {
-			return nil, nil, eofToTruncated(err)
-		}
-		if Checksum32(container) != binary.BigEndian.Uint32(crc[:]) {
-			return nil, nil, fmt.Errorf("%w: segment %d", ErrFrameChecksum, index)
-		}
-		fr.nextIndex++
-		fr.rawTotal += rawLen
-		return &SegmentFrame{Index: index, RawLen: rawLen, Container: container}, nil, nil
-	case frameMarkerTrailer:
-		segments, err := readVarint(fr.r)
-		if err != nil {
-			return nil, nil, err
-		}
-		totalLen, err := readVarint(fr.r)
-		if err != nil {
-			return nil, nil, err
-		}
-		var crc [4]byte
-		if _, err := io.ReadFull(fr.r, crc[:]); err != nil {
-			return nil, nil, eofToTruncated(err)
-		}
-		t := &StreamTrailer{Segments: segments, TotalLen: totalLen, Checksum: binary.BigEndian.Uint32(crc[:])}
-		if t.Segments != fr.nextIndex {
-			return nil, nil, fmt.Errorf("%w: trailer counts %d segments, stream carried %d", ErrCorrupt, t.Segments, fr.nextIndex)
-		}
-		if t.TotalLen != fr.rawTotal {
-			return nil, nil, fmt.Errorf("%w: trailer totalLen %d, segment rawLens sum to %d", ErrCorrupt, t.TotalLen, fr.rawTotal)
-		}
-		return nil, t, nil
-	case frameMarkerParity:
-		pf, err := fr.readParity()
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := fr.acceptParity(pf); err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, nil // absorbed; caller keeps reading
-	default:
-		return nil, nil, fmt.Errorf("%w: unknown frame marker %#x", ErrCorrupt, marker)
+	if t.TotalLen != fr.rawTotal {
+		return fmt.Errorf("%w: trailer totalLen %d, segment rawLens sum to %d", ErrCorrupt, t.TotalLen, fr.rawTotal)
 	}
+	return nil
 }
 
-// readParity decodes one parity frame body (the marker byte has already
-// been consumed), verifying geometry bounds and the shard CRC.
-func (fr *FrameReader) readParity() (*ParityFrame, error) {
-	fields := make([]int, 5) // firstIndex, k, m, j, shardLen
-	for i := range fields {
-		v, err := readVarint(fr.r)
-		if err != nil {
-			return nil, err
-		}
-		fields[i] = v
-	}
-	pf := &ParityFrame{FirstIndex: fields[0], K: fields[1], M: fields[2], J: fields[3], ShardLen: fields[4]}
-	if err := validateParityGeometry(pf.FirstIndex, pf.K, pf.M, pf.J, pf.ShardLen); err != nil {
-		return nil, err
-	}
-	pf.FrameLens = make([]int, pf.K)
-	for i := range pf.FrameLens {
-		v, err := readVarint(fr.r)
-		if err != nil {
-			return nil, err
-		}
-		if v < 1 || v > pf.ShardLen {
-			return nil, fmt.Errorf("%w: frame length %d vs shard length %d", ErrParityGeometry, v, pf.ShardLen)
-		}
-		pf.FrameLens[i] = v
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(fr.r, crc[:]); err != nil {
-		return nil, eofToTruncated(err)
-	}
-	pf.Shard = make([]byte, pf.ShardLen)
-	if _, err := io.ReadFull(fr.r, pf.Shard); err != nil {
-		return nil, eofToTruncated(err)
-	}
-	if Checksum32(pf.Shard) != binary.BigEndian.Uint32(crc[:]) {
-		return nil, fmt.Errorf("%w: parity shard %d of group at %d", ErrFrameChecksum, pf.J, pf.FirstIndex)
-	}
-	return pf, nil
-}
-
-// acceptParity applies ordering checks and bookkeeping to an intact
-// parity frame in fail-fast (normal) mode.
+// acceptParity applies the fail-fast (normal) mode's ordering checks and
+// j-sequencing bookkeeping to an intact parity frame.
 func (fr *FrameReader) acceptParity(pf *ParityFrame) error {
 	// Parity for [firstIndex, firstIndex+k) legally appears only right
 	// after that group's last data frame.
@@ -439,13 +360,16 @@ func (fr *FrameReader) acceptParity(pf *ParityFrame) error {
 		fr.parityGroupFirst = pf.FirstIndex
 	}
 	fr.parityNextJ = pf.J + 1
-	fr.noteParity(pf)
 	return nil
 }
 
 // noteParity records an intact parity frame (both modes): geometry,
-// counters, hook.
+// counters, hook. Salvage mode keeps parity frames past the next read, so
+// it copies the shard out of the window first.
 func (fr *FrameReader) noteParity(pf *ParityFrame) {
+	if fr.salvage {
+		pf.Shard = append([]byte(nil), pf.Shard...)
+	}
 	if fr.ParityK == 0 {
 		fr.ParityK, fr.ParityM = pf.K, pf.M
 	}
@@ -456,34 +380,253 @@ func (fr *FrameReader) noteParity(pf *ParityFrame) {
 	}
 }
 
-// lease returns a length-n container buffer from the Lease hook when it
-// can satisfy the request, or the allocator.
-func (fr *FrameReader) lease(n int) []byte {
+// own copies a parsed segment's container out of the window, into a
+// Lease buffer when the hook can supply one.
+func (fr *FrameReader) own(seg *SegmentFrame) {
+	n := len(seg.Container)
+	var c []byte
 	if fr.Lease != nil {
 		if b := fr.Lease(n); cap(b) >= n {
-			return b[:n]
+			c = b[:n]
 		}
 	}
-	return make([]byte, n)
+	if c == nil {
+		c = make([]byte, n)
+	}
+	copy(c, seg.Container)
+	seg.Container = c
 }
 
-// readVarint decodes one bounded unsigned varint from r.
-func readVarint(r io.ByteReader) (int, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, eofToTruncated(err)
+// errNeedMore marks input that ends before the record being parsed does.
+// It matches ErrTruncated, which is what it means at the end of a stream.
+var errNeedMore = fmt.Errorf("%w: record extends past available data", ErrTruncated)
+
+// field decodes the bounded varint at b[p:] and returns it with the
+// position just past it.
+func field(b []byte, p int) (int, int, error) {
+	v, n := binary.Uvarint(b[p:])
+	switch {
+	case n == 0:
+		return 0, 0, errNeedMore
+	case n < 0:
+		return 0, 0, fmt.Errorf("%w: varint overflow", ErrCorrupt)
+	case v > 1<<40:
+		return 0, 0, fmt.Errorf("%w: implausible varint %d", ErrCorrupt, v)
 	}
-	if v > 1<<40 {
-		return 0, fmt.Errorf("%w: implausible varint %d", ErrCorrupt, v)
-	}
-	return int(v), nil
+	return int(v), p + n, nil
 }
 
-// eofToTruncated maps mid-record EOFs onto ErrTruncated: a framed stream
-// only legally ends immediately after its trailer.
-func eofToTruncated(err error) error {
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return ErrTruncated
+// parseStreamHeader parses the stream header at the front of b and
+// returns the advisory segment size and the header's length. When b ends
+// inside the header it returns errNeedMore and, in n, a length b must
+// reach before the parse can go further.
+func parseStreamHeader(b []byte) (segSize, n int, err error) {
+	const fixed = len(StreamMagic) + 2 // magic, version, flags
+	if len(b) < len(StreamMagic) {
+		return 0, len(StreamMagic), errNeedMore
 	}
-	return err
+	if string(b[:len(StreamMagic)]) != StreamMagic {
+		return 0, 0, ErrBadStreamMagic
+	}
+	if len(b) < fixed {
+		return 0, fixed, errNeedMore
+	}
+	if v := b[len(StreamMagic)]; v != StreamVersion {
+		return 0, 0, fmt.Errorf("%w: stream version %d", ErrBadVersion, v)
+	}
+	if f := b[len(StreamMagic)+1]; f != 0 {
+		return 0, 0, fmt.Errorf("%w: nonzero stream flags %#x", ErrCorrupt, f)
+	}
+	segSize, n, err = field(b, fixed)
+	if err == errNeedMore {
+		n = len(b) + 1
+	}
+	return segSize, n, err
+}
+
+// ParseRecord parses the one segment, parity or trailer record at the
+// front of b and returns it with its encoded length; exactly one of the
+// three records is non-nil. It checks what needs no stream context: the
+// marker, the varint bound, MaxSegmentLen, the parity geometry and the
+// frame or shard CRC — index order and trailer counts are the caller's.
+// The segment's Container and the parity frame's Shard alias b. When b
+// ends mid-record the error matches ErrTruncated and n is a length b must
+// reach before the parse can go further.
+func ParseRecord(b []byte) (seg *SegmentFrame, trailer *StreamTrailer, pf *ParityFrame, n int, err error) {
+	if len(b) == 0 {
+		return nil, nil, nil, 1, errNeedMore
+	}
+	// fields decodes len(dst) varints starting at p.
+	p := 1
+	fields := func(dst []int) error {
+		for i := range dst {
+			if dst[i], p, err = field(b, p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// body checks the CRC-covered payload of size bytes after the 4-byte
+	// CRC at p and returns it.
+	body := func(size int) ([]byte, error) {
+		n = p + 4 + size
+		if len(b) < n {
+			return nil, errNeedMore
+		}
+		if Checksum32(b[p+4:n]) != binary.BigEndian.Uint32(b[p:]) {
+			return nil, ErrFrameChecksum
+		}
+		return b[p+4 : n], nil
+	}
+	switch marker := b[0]; marker {
+	case frameMarkerSegment:
+		var f [3]int // index, rawLen, compLen
+		if err = fields(f[:]); err != nil {
+			break
+		}
+		if f[1] > MaxSegmentLen || f[2] > MaxSegmentLen {
+			return nil, nil, nil, 0, fmt.Errorf("%w: implausible segment lengths raw=%d comp=%d", ErrCorrupt, f[1], f[2])
+		}
+		c, berr := body(f[2])
+		if berr == ErrFrameChecksum {
+			return nil, nil, nil, 0, fmt.Errorf("%w: segment %d", ErrFrameChecksum, f[0])
+		}
+		if err = berr; err == nil {
+			return &SegmentFrame{Index: f[0], RawLen: f[1], Container: c}, nil, nil, n, nil
+		}
+	case frameMarkerTrailer:
+		var f [2]int // segments, totalLen
+		if err = fields(f[:]); err != nil {
+			break
+		}
+		if n = p + 4; len(b) < n {
+			err = errNeedMore
+			break
+		}
+		return nil, &StreamTrailer{Segments: f[0], TotalLen: f[1], Checksum: binary.BigEndian.Uint32(b[p:])}, nil, n, nil
+	case frameMarkerParity:
+		var f [5]int // firstIndex, k, m, j, shardLen
+		if err = fields(f[:]); err != nil {
+			break
+		}
+		if err := validateParityGeometry(f[0], f[1], f[2], f[3], f[4]); err != nil {
+			return nil, nil, nil, 0, err
+		}
+		lens := make([]int, f[1])
+		if err = fields(lens); err != nil {
+			break
+		}
+		for _, l := range lens {
+			if l < 1 || l > f[4] {
+				return nil, nil, nil, 0, fmt.Errorf("%w: frame length %d vs shard length %d", ErrParityGeometry, l, f[4])
+			}
+		}
+		shard, berr := body(f[4])
+		if berr == ErrFrameChecksum {
+			return nil, nil, nil, 0, fmt.Errorf("%w: parity shard %d of group at %d", ErrFrameChecksum, f[3], f[0])
+		}
+		if err = berr; err == nil {
+			return nil, nil, &ParityFrame{FirstIndex: f[0], K: f[1], M: f[2], J: f[3], ShardLen: f[4],
+				FrameLens: lens, Shard: shard}, n, nil
+		}
+	default:
+		return nil, nil, nil, 0, fmt.Errorf("%w: unknown frame marker %#x", ErrCorrupt, marker)
+	}
+	if err != errNeedMore {
+		return nil, nil, nil, 0, err
+	}
+	if n <= len(b) {
+		n = len(b) + 1 // ran out inside a varint
+	}
+	return nil, nil, nil, n, err
+}
+
+// recordAt parses the record at window position pos, reading more input
+// until it is complete; errNeedMore means the input ended first.
+func (fr *FrameReader) recordAt(pos int) (*SegmentFrame, *StreamTrailer, *ParityFrame, int, error) {
+	for {
+		seg, trailer, pf, n, err := ParseRecord(fr.buf[pos:])
+		if err != errNeedMore {
+			return seg, trailer, pf, n, err
+		}
+		if !fr.ensure(pos + n) {
+			return nil, nil, nil, 0, errNeedMore
+		}
+	}
+}
+
+// readChunk is the window's least size and the read room a presized
+// window keeps beyond the record it is sized for.
+const readChunk = 16 << 10
+
+// maxPresize caps the window the stream header's advisory segment size
+// can claim before the data to fill it has arrived.
+const maxPresize = 16 << 20
+
+// fill reads more input into the window's spare capacity, reporting
+// whether any bytes arrived. When less than need bytes of spare remain,
+// the unconsumed bytes first move to the front of the buffer. A larger
+// buffer replaces it only when it cannot hold them plus need: sized for
+// them outright when that stays within the segment size the stream
+// header announced, else doubled, so a length the input merely claims
+// costs memory only as its bytes really arrive.
+func (fr *FrameReader) fill(need int) bool {
+	if fr.eof {
+		return false
+	}
+	if cap(fr.buf)-len(fr.buf) < need {
+		n := len(fr.buf)
+		if cap(fr.win) < n+need {
+			size := max(2*cap(fr.win), readChunk)
+			if want := n + need; want > size && want <= min(fr.SegmentSize, maxPresize)+readChunk {
+				size = want + readChunk
+			}
+			fr.win = make([]byte, size)
+		}
+		fr.buf = fr.win[:copy(fr.win, fr.buf)]
+	}
+	// Like bufio, give a source that returns no data and no error a
+	// bounded number of tries before calling it stuck.
+	for try := 0; try < 100; try++ {
+		n, err := fr.src.Read(fr.buf[len(fr.buf):cap(fr.buf)])
+		fr.buf = fr.buf[:len(fr.buf)+n]
+		if err != nil {
+			fr.eof = true
+			if err != io.EOF {
+				fr.readErr = err
+			}
+			return n > 0
+		}
+		if n > 0 {
+			return true
+		}
+	}
+	fr.eof, fr.readErr = true, io.ErrNoProgress
+	return false
+}
+
+// ensure grows the window to at least n bytes, reporting success.
+func (fr *FrameReader) ensure(n int) bool {
+	for len(fr.buf) < n {
+		if !fr.fill(n - len(fr.buf)) {
+			return false
+		}
+	}
+	return true
+}
+
+// consume discards the first n window bytes and advances the absolute
+// stream offset.
+func (fr *FrameReader) consume(n int) {
+	fr.buf = fr.buf[n:]
+	fr.off += int64(n)
+}
+
+// endErr is the error for input that ends where a record should be: the
+// read error that ended it, else ErrTruncated.
+func (fr *FrameReader) endErr() error {
+	if fr.readErr != nil {
+		return fr.readErr
+	}
+	return ErrTruncated
 }

@@ -554,10 +554,11 @@ func (fr *FrameReader) trySolve(s int, hdr *ParityFrame, run []*parityRec) *grou
 				continue
 			}
 			enc := shards[i][:hdr.FrameLens[i]]
-			sf, err := parseSegmentRecord(enc)
-			if err != nil || sf.Index != s+i {
+			sf, _, _, n, err := ParseRecord(enc)
+			if err != nil || sf == nil || n != len(enc) || sf.Index != s+i {
 				return nil
 			}
+			sf.Container = append([]byte(nil), sf.Container...)
 			off := int64(-1)
 			if gf := rep.got[s+i]; gf != nil {
 				off = gf.off

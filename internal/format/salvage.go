@@ -6,22 +6,22 @@
 // the stream — often 99% intact — is lost. Salvage mode turns each
 // damaged region into a structured *CorruptSegmentError and then
 // *resynchronizes*: it scans forward for the next plausible frame marker,
-// re-parses the candidate record, and only accepts it when the record is
-// fully self-consistent — for segment frames that includes the per-frame
+// parses the candidate with ParseRecord over the same window normal mode
+// reads, and only accepts it when the record is fully self-consistent and
+// plausible where it sits — for segment frames that includes the per-frame
 // CRC-32 over the container bytes, so a false resynchronization point is
 // vanishingly unlikely; for the (unchecksummed) trailer a resync
 // candidate is only accepted when it ends the stream exactly, which is
 // the position a legal trailer must occupy.
 //
-// The scan holds at most one candidate record in memory (O(segment)
-// bytes, the same bound as normal incremental decoding). Determinism:
+// The window holds the damaged bytes scanned so far plus one candidate
+// record, and grows only as those bytes arrive. Determinism:
 // salvage is a pure function of the input bytes — no randomness, no
 // scheduling dependence — so a given damaged stream always yields the
 // same recovered segments and the same error reports.
 package format
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -32,10 +32,6 @@ import (
 // resynchronization guard; 2^20 lost segments in one region is beyond
 // plausible damage).
 const maxIndexGap = 1 << 20
-
-// errNeedMore is the internal signal that a record parse ran out of
-// buffered bytes before the record was complete.
-var errNeedMore = errors.New("format: record extends past available data")
 
 // CorruptSegmentError reports one damaged region of a framed stream
 // encountered in salvage mode. It is returned by FrameReader.Next (and
@@ -77,133 +73,25 @@ func (e *CorruptSegmentError) Unwrap() error { return e.Err }
 // damaged region, keeps delivering the intact segments around it, and
 // ends with either the trailer, io.EOF, or ErrTruncated.
 func NewFrameReaderSalvage(r io.Reader) (*FrameReader, error) {
-	fr := &FrameReader{salvage: true, src: r, parityGroupFirst: -1}
-	if !fr.ensure(len(StreamMagic)) {
-		if fr.readErr != nil {
-			return nil, fr.readErr
-		}
-		return nil, ErrTruncated
-	}
-	if string(fr.buf[:len(StreamMagic)]) != StreamMagic {
-		return nil, ErrBadStreamMagic
-	}
-	if !fr.ensure(len(StreamMagic) + 2) {
-		return nil, ErrTruncated
-	}
-	if v := fr.buf[len(StreamMagic)]; v != StreamVersion {
-		return nil, fmt.Errorf("%w: stream version %d", ErrBadVersion, v)
-	}
-	if f := fr.buf[len(StreamMagic)+1]; f != 0 {
-		return nil, fmt.Errorf("%w: nonzero stream flags %#x", ErrCorrupt, f)
-	}
-	segSize, n, err := fr.varintAt(len(StreamMagic) + 2)
-	if err != nil {
-		if errors.Is(err, errNeedMore) {
-			return nil, ErrTruncated
-		}
-		return nil, err
-	}
-	fr.SegmentSize = segSize
-	fr.consume(len(StreamMagic) + 2 + n)
-	return fr, nil
+	return newFrameReader(r, true)
 }
 
 // Corrupted reports whether salvage has recovered past at least one
 // damaged region so far.
 func (fr *FrameReader) Corrupted() bool { return fr.corrupted }
 
-// fill reads another chunk from the underlying reader into the salvage
-// window. It reports whether any bytes were added.
-func (fr *FrameReader) fill() bool {
-	if fr.eof {
-		return false
-	}
-	if fr.scratch == nil {
-		fr.scratch = make([]byte, 64<<10)
-	}
-	n, err := fr.src.Read(fr.scratch)
-	if n > 0 {
-		fr.buf = append(fr.buf, fr.scratch[:n]...)
-	}
+// salvageAt parses one complete record at window position pos and holds
+// it to salvage's plausibility rules; the window is NOT consumed, but an
+// accepted segment's container is already copied out of it. Failure is
+// either errNeedMore (the stream ended before the record was complete)
+// or a corruption error.
+func (fr *FrameReader) salvageAt(pos int) (*SegmentFrame, *StreamTrailer, *ParityFrame, int, error) {
+	seg, t, pf, n, err := fr.recordAt(pos)
 	if err != nil {
-		fr.eof = true
-		if err != io.EOF {
-			fr.readErr = err
-		}
+		return nil, nil, nil, 0, err
 	}
-	return n > 0
-}
-
-// ensure grows the window to at least n bytes, reporting success.
-func (fr *FrameReader) ensure(n int) bool {
-	for len(fr.buf) < n {
-		if !fr.fill() {
-			return false
-		}
-	}
-	return true
-}
-
-// consume discards the first n window bytes and advances the absolute
-// stream offset.
-func (fr *FrameReader) consume(n int) {
-	fr.buf = fr.buf[n:]
-	fr.off += int64(n)
-}
-
-// varintAt decodes a bounded uvarint at window position p, pulling more
-// input when the encoding crosses the buffered edge. It returns the
-// value, its encoded length, and errNeedMore / a corruption error.
-func (fr *FrameReader) varintAt(p int) (int, int, error) {
-	for {
-		if p < len(fr.buf) {
-			v, n := binary.Uvarint(fr.buf[p:])
-			if n > 0 {
-				if v > 1<<40 {
-					return 0, 0, fmt.Errorf("%w: implausible varint %d", ErrCorrupt, v)
-				}
-				return int(v), n, nil
-			}
-			if n < 0 {
-				return 0, 0, fmt.Errorf("%w: varint overflow", ErrCorrupt)
-			}
-		}
-		if !fr.ensure(len(fr.buf) + 1) {
-			return 0, 0, errNeedMore
-		}
-	}
-}
-
-// tryRecord attempts to parse one complete record at window position pos.
-// On success it returns the record (segment, trailer, or parity) and its
-// total encoded length (the window is NOT consumed). Failure is either
-// errNeedMore (the stream ended before the record was complete) or a
-// corruption error.
-func (fr *FrameReader) tryRecord(pos int) (*SegmentFrame, *StreamTrailer, *ParityFrame, int, error) {
-	if !fr.ensure(pos + 1) {
-		return nil, nil, nil, 0, errNeedMore
-	}
-	p := pos + 1
-	switch marker := fr.buf[pos]; marker {
-	case frameMarkerSegment:
-		index, n, err := fr.varintAt(p)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		p += n
-		rawLen, n, err := fr.varintAt(p)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		p += n
-		compLen, n, err := fr.varintAt(p)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		p += n
-		if rawLen > MaxSegmentLen || compLen > MaxSegmentLen {
-			return nil, nil, nil, 0, fmt.Errorf("%w: implausible segment lengths raw=%d comp=%d", ErrCorrupt, rawLen, compLen)
-		}
+	switch {
+	case seg != nil:
 		lo, hi := fr.nextIndex, fr.nextIndex+maxIndexGap
 		if rep := fr.rep; rep != nil && !rep.disabled {
 			// Repair mode holds frames until their group closes, so the
@@ -215,55 +103,25 @@ func (fr *FrameReader) tryRecord(pos int) (*SegmentFrame, *StreamTrailer, *Parit
 				hi = h
 			}
 		}
-		if index < lo || index > hi {
-			return nil, nil, nil, 0, fmt.Errorf("%w: got segment %d, want >= %d", ErrFrameOrder, index, lo)
+		if seg.Index < lo || seg.Index > hi {
+			return nil, nil, nil, 0, fmt.Errorf("%w: got segment %d, want >= %d", ErrFrameOrder, seg.Index, lo)
 		}
-		if !fr.ensure(p + 4 + compLen) {
-			return nil, nil, nil, 0, errNeedMore
-		}
-		crc := binary.BigEndian.Uint32(fr.buf[p : p+4])
-		p += 4
-		container := fr.buf[p : p+compLen]
-		if Checksum32(container) != crc {
-			return nil, nil, nil, 0, fmt.Errorf("%w: segment %d", ErrFrameChecksum, index)
-		}
-		// Copy out: the window's backing array is reused as it slides.
-		c := fr.lease(compLen)
-		copy(c, container)
-		return &SegmentFrame{Index: index, RawLen: rawLen, Container: c}, nil, nil, p + compLen - pos, nil
-	case frameMarkerTrailer:
-		segments, n, err := fr.varintAt(p)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		p += n
-		totalLen, n, err := fr.varintAt(p)
-		if err != nil {
-			return nil, nil, nil, 0, err
-		}
-		p += n
-		if !fr.ensure(p + 4) {
-			return nil, nil, nil, 0, errNeedMore
-		}
-		t := &StreamTrailer{Segments: segments, TotalLen: totalLen, Checksum: binary.BigEndian.Uint32(fr.buf[p : p+4])}
-		p += 4
+		fr.own(seg)
+	case t != nil:
 		switch {
 		case pos == 0 && !fr.corrupted:
 			// Clean path: enforce the same consistency checks as normal
 			// mode, so salvage and normal decoding agree on pristine
 			// streams.
-			if t.Segments != fr.nextIndex {
-				return nil, nil, nil, 0, fmt.Errorf("%w: trailer counts %d segments, stream carried %d", ErrCorrupt, t.Segments, fr.nextIndex)
-			}
-			if t.TotalLen != fr.rawTotal {
-				return nil, nil, nil, 0, fmt.Errorf("%w: trailer totalLen %d, segment rawLens sum to %d", ErrCorrupt, t.TotalLen, fr.rawTotal)
+			if err := fr.checkTrailer(t); err != nil {
+				return nil, nil, nil, 0, err
 			}
 		case pos > 0:
 			// Resynchronization candidate. The trailer record carries no
 			// self-checksum, so a scan can hallucinate one out of payload
 			// bytes; demand the one property a real trailer must have —
 			// it ends the stream exactly.
-			if fr.ensure(p + 1) {
+			if fr.ensure(pos + n + 1) {
 				return nil, nil, nil, 0, fmt.Errorf("%w: resynchronized trailer not at stream end", ErrCorrupt)
 			}
 		default:
@@ -271,21 +129,7 @@ func (fr *FrameReader) tryRecord(pos int) (*SegmentFrame, *StreamTrailer, *Parit
 			// trusted, and the counts legitimately disagree with what we
 			// recovered — deliver the trailer as the stream's own claim.
 		}
-		return nil, t, nil, p - pos, nil
-	case frameMarkerParity:
-		fields := make([]int, 5) // firstIndex, k, m, j, shardLen
-		for i := range fields {
-			v, n, err := fr.varintAt(p)
-			if err != nil {
-				return nil, nil, nil, 0, err
-			}
-			fields[i] = v
-			p += n
-		}
-		pf := &ParityFrame{FirstIndex: fields[0], K: fields[1], M: fields[2], J: fields[3], ShardLen: fields[4]}
-		if err := validateParityGeometry(pf.FirstIndex, pf.K, pf.M, pf.J, pf.ShardLen); err != nil {
-			return nil, nil, nil, 0, err
-		}
+	default:
 		// Parity follows its group's data, so a real parity frame never
 		// describes a group starting past the reader's position.
 		bound := fr.nextIndex
@@ -295,33 +139,8 @@ func (fr *FrameReader) tryRecord(pos int) (*SegmentFrame, *StreamTrailer, *Parit
 		if pf.FirstIndex > bound || pf.FirstIndex+pf.K > bound+maxIndexGap {
 			return nil, nil, nil, 0, fmt.Errorf("%w: parity group at %d, reader at %d", ErrFrameOrder, pf.FirstIndex, bound)
 		}
-		pf.FrameLens = make([]int, pf.K)
-		for i := range pf.FrameLens {
-			v, n, err := fr.varintAt(p)
-			if err != nil {
-				return nil, nil, nil, 0, err
-			}
-			if v < 1 || v > pf.ShardLen {
-				return nil, nil, nil, 0, fmt.Errorf("%w: frame length %d vs shard length %d", ErrParityGeometry, v, pf.ShardLen)
-			}
-			pf.FrameLens[i] = v
-			p += n
-		}
-		if !fr.ensure(p + 4 + pf.ShardLen) {
-			return nil, nil, nil, 0, errNeedMore
-		}
-		crc := binary.BigEndian.Uint32(fr.buf[p : p+4])
-		p += 4
-		shard := fr.buf[p : p+pf.ShardLen]
-		if Checksum32(shard) != crc {
-			return nil, nil, nil, 0, fmt.Errorf("%w: parity shard %d of group at %d", ErrFrameChecksum, pf.J, pf.FirstIndex)
-		}
-		pf.Shard = make([]byte, pf.ShardLen)
-		copy(pf.Shard, shard)
-		return nil, nil, pf, p + pf.ShardLen - pos, nil
-	default:
-		return nil, nil, nil, 0, fmt.Errorf("%w: unknown frame marker %#x", ErrCorrupt, marker)
 	}
+	return seg, t, pf, n, nil
 }
 
 // nextSalvage decodes the next record in salvage mode. Damaged regions
@@ -378,7 +197,7 @@ func (fr *FrameReader) nextSalvageRaw() (*SegmentFrame, *StreamTrailer, *ParityF
 	}
 
 	startOff := fr.off
-	frame, trailer, parity, n, err := fr.tryRecord(0)
+	frame, trailer, parity, n, err := fr.salvageAt(0)
 	if err == nil {
 		fr.consume(n)
 		fr.recOff = startOff
@@ -389,17 +208,14 @@ func (fr *FrameReader) nextSalvageRaw() (*SegmentFrame, *StreamTrailer, *ParityF
 		f, t, aerr := fr.acceptSalvage(frame, trailer, startOff)
 		return f, t, nil, aerr
 	}
-	if errors.Is(err, errNeedMore) && len(fr.buf) == 0 {
+	if err == errNeedMore && len(fr.buf) == 0 {
 		// Clean record boundary at end of data but no trailer was seen.
-		if fr.readErr != nil {
-			return nil, nil, nil, fr.readErr
-		}
-		return nil, nil, nil, ErrTruncated
+		return nil, nil, nil, fr.endErr()
 	}
 
 	// Damage at the expected record position: resynchronize.
 	cause := err
-	if errors.Is(cause, errNeedMore) {
+	if cause == errNeedMore {
 		cause = ErrTruncated
 	}
 	for skip := 1; ; skip++ {
@@ -418,7 +234,7 @@ func (fr *FrameReader) nextSalvageRaw() (*SegmentFrame, *StreamTrailer, *ParityF
 		if b != frameMarkerSegment && b != frameMarkerTrailer && b != frameMarkerParity {
 			continue
 		}
-		f2, t2, p2, n2, err2 := fr.tryRecord(skip)
+		f2, t2, p2, n2, err2 := fr.salvageAt(skip)
 		if err2 != nil {
 			continue // not a real record; keep scanning
 		}

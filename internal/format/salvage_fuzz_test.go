@@ -17,7 +17,11 @@ import (
 //     containers originally written — the per-frame CRC guarantee means
 //     salvage never hands over container bytes that did not verify
 //     (frame-header damage can at worst mislabel an intact container);
-//   - the strict decoder over the same bytes never panics either.
+//   - the strict decoder over the same bytes never panics either, and
+//     the two modes read one stream the same way: the frames strict
+//     delivers before its first error are salvage's first frames (index,
+//     RawLen and container bytes), and a stream strict accepts to its
+//     trailer is one salvage finds undamaged, with the same trailer.
 func FuzzFrameSalvage(f *testing.F) {
 	f.Add([]byte("some payload bytes that span a few segments"), uint8(3), int64(1), uint16(0))
 	f.Add(bytes.Repeat([]byte{0xa5, 0x00, 0x01}, 300), uint8(5), int64(42), uint16(7))
@@ -54,11 +58,16 @@ func FuzzFrameSalvage(f *testing.F) {
 		}
 
 		// The strict decoder must never panic on the damaged bytes.
+		var strict []*SegmentFrame
+		var strictTrailer *StreamTrailer
 		if fr, err := NewFrameReader(bytes.NewReader(stream)); err == nil {
 			for i := 0; i < 1<<15; i++ {
-				if _, tr, err := fr.Next(); err != nil || tr != nil {
+				frame, tr, err := fr.Next()
+				if err != nil || tr != nil {
+					strictTrailer = tr
 					break
 				}
+				strict = append(strict, frame)
 			}
 		}
 
@@ -67,6 +76,7 @@ func FuzzFrameSalvage(f *testing.F) {
 		if err != nil {
 			return // header damage; rejecting the stream is legal
 		}
+		delivered, damaged := 0, false
 		prev := -1
 		for i := 0; ; i++ {
 			if i > 1<<15 {
@@ -76,7 +86,11 @@ func FuzzFrameSalvage(f *testing.F) {
 			if err != nil {
 				var cse *CorruptSegmentError
 				if errors.As(err, &cse) {
+					damaged = true
 					continue // recoverable; the decoder resumes after it
+				}
+				if strictTrailer != nil {
+					t.Fatalf("strict read the stream to its trailer, salvage ended with %v", err)
 				}
 				if err == io.EOF || IsSalvageable(err) || errors.Is(err, ErrTruncated) ||
 					errors.Is(err, ErrCorrupt) || errors.Is(err, ErrFrameOrder) ||
@@ -86,8 +100,23 @@ func FuzzFrameSalvage(f *testing.F) {
 				t.Fatalf("unexpected terminal error class: %v", err)
 			}
 			if trailer != nil {
+				if strictTrailer != nil && (damaged || *trailer != *strictTrailer) {
+					t.Fatalf("strict accepted the stream, salvage reports damage=%v, trailer %+v vs %+v",
+						damaged, trailer, strictTrailer)
+				}
+				if delivered < len(strict) {
+					t.Fatalf("salvage delivered %d frames, strict %d before its first error", delivered, len(strict))
+				}
 				return
 			}
+			if delivered < len(strict) {
+				if s := strict[delivered]; frame.Index != s.Index || frame.RawLen != s.RawLen ||
+					!bytes.Equal(frame.Container, s.Container) {
+					t.Fatalf("frame %d: salvage read (%d, %d, %d bytes), strict (%d, %d, %d bytes)", delivered,
+						frame.Index, frame.RawLen, len(frame.Container), s.Index, s.RawLen, len(s.Container))
+				}
+			}
+			delivered++
 			if frame.Index <= prev {
 				t.Fatalf("delivered indices not increasing: %d after %d", frame.Index, prev)
 			}

@@ -167,6 +167,11 @@ type matcher struct {
 }
 
 func newMatcher(search Search, cfg *Config, data []byte) *matcher {
+	if cfg.MinMatch < 3 {
+		// The chains hash three bytes: they would read past the input's
+		// end and could not find a shorter match anyway.
+		search = SearchBrute
+	}
 	m := &matcher{search: search, cfg: cfg, data: data}
 	if search == SearchHashChain {
 		m.hm = NewHashMatcher(*cfg)

@@ -180,6 +180,27 @@ func TestEncodersIdenticalAcrossSearch(t *testing.T) {
 	}
 }
 
+// TestHashChainMinMatchTwoMatchesBrute: the three-byte hash cannot serve
+// MinMatch 2 — it read past the input's end and missed two-byte matches —
+// so such a config must encode exactly as the brute scan does.
+func TestHashChainMinMatchTwoMatchesBrute(t *testing.T) {
+	cfg := CULZSSV1()
+	cfg.MinMatch = 2
+	for _, input := range [][]byte{genText(4096, 5), []byte("abcdefgh"), []byte("xyqxyz")} {
+		brute, err := EncodeByteAligned(input, cfg, SearchBrute, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash, err := EncodeByteAligned(input, cfg, SearchHashChain, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(brute, hash) {
+			t.Fatalf("%d-byte input: brute and hash-chain streams differ", len(input))
+		}
+	}
+}
+
 func roundTripBitPacked(t *testing.T, input []byte, cfg Config, search Search) []byte {
 	t.Helper()
 	comp, err := EncodeBitPacked(input, cfg, search, nil)
